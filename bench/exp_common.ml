@@ -119,6 +119,14 @@ let emit_bench name fields =
       write
         (Filename.concat (repo_root ()) (Printf.sprintf "BENCH_%s.json" name))
 
+(* A one-job campaign on [vm]: the one-shard instance, run to completion. *)
+let run_campaign ?timeseries vm strategy cfg =
+  Campaign.run
+    (Campaign.create_instance ?timeseries ~jobs:1
+       ~vm_for:(fun _ -> vm)
+       ~strategy_for:(fun _ -> strategy)
+       cfg)
+
 let seed_corpus db ~seed ~size =
   Sp_syzlang.Gen.corpus (Sp_util.Rng.create seed) db ~size
 

@@ -19,13 +19,13 @@ let run_pair p version seed =
     { Campaign.default_config with seed_corpus = seeds; seed = 7000 + seed }
   in
   let syz =
-    Campaign.run
+    Exp_common.run_campaign
       (Sp_fuzz.Vm.create ~seed kernel)
       (Sp_fuzz.Strategy.syzkaller db) cfg
   in
   let inference = Snowplow.Pipeline.inference_for p kernel in
   let snow =
-    Campaign.run
+    Exp_common.run_campaign
       (Sp_fuzz.Vm.create ~seed kernel)
       (Snowplow.Hybrid.strategy ~inference kernel)
       cfg

@@ -30,7 +30,7 @@ let run_campaign p version seed strategy_of =
     }
   in
   let vm = Sp_fuzz.Vm.create ~fleet_scale ~seed kernel in
-  Campaign.run vm (strategy_of kernel db) cfg
+  Exp_common.run_campaign vm (strategy_of kernel db) cfg
 
 let syz_strategy _kernel db = Sp_fuzz.Strategy.syzkaller db
 

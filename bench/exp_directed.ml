@@ -71,7 +71,7 @@ let run_one p kernel target strategy_of seed =
     }
   in
   let vm = Sp_fuzz.Vm.create ~fleet_scale ~seed kernel in
-  let r = Campaign.run vm (strategy_of p kernel target) cfg in
+  let r = Exp_common.run_campaign vm (strategy_of p kernel target) cfg in
   r.Campaign.target_hit_at
 
 let syzdirect_strategy _p kernel target =

@@ -19,7 +19,7 @@ let insertion_experiment p =
       seed_corpus = seeds; seed = 2101; duration = 3600.0 }
   in
   let warm =
-    Sp_fuzz.Campaign.run (Sp_fuzz.Vm.create ~seed:2 kernel)
+    Exp_common.run_campaign (Sp_fuzz.Vm.create ~seed:2 kernel)
       (Sp_fuzz.Strategy.syzkaller db) warm_cfg
   in
   let covered = warm.Sp_fuzz.Campaign.covered_blocks in
@@ -60,7 +60,7 @@ let distill_experiment p =
       seed_corpus = seeds; seed = 2201; duration = 7200.0 }
   in
   let r =
-    Sp_fuzz.Campaign.run (Sp_fuzz.Vm.create ~seed:3 kernel)
+    Exp_common.run_campaign (Sp_fuzz.Vm.create ~seed:3 kernel)
       (Sp_fuzz.Strategy.syzkaller db) cfg
   in
   let corpus_progs =

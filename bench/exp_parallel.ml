@@ -1,10 +1,12 @@
-(* E10: the parallel campaign executor — wall-clock speedup over the
-   sequential loop on the same workload, and reproducibility.
+(* E10: the campaign executor's width scaling — wall-clock speedup of N
+   shards over one shard on the same workload, and reproducibility.
 
    "Same workload" means the same total virtual VM-time (and therefore
-   ~the same number of test executions): the sequential baseline fuzzes
-   one VM for W virtual seconds; the parallel run fuzzes N VMs for W/N
-   virtual seconds each. On a host with >= N cores the parallel run
+   ~the same number of test executions): the -jobs 1 baseline fuzzes one
+   VM for W virtual seconds; the -jobs N run fuzzes N VMs for W/N
+   virtual seconds each. Both run the same executor (the barrier-sliced
+   instance), so the ratio isolates the cost and benefit of width. On a
+   host with >= N cores the -jobs N run
    finishes the workload N-ish times faster; the speedup measured here is
    honest wall clock, so it degrades with the cores actually available
    (on a 1-core container the domains time-slice and the speedup is ~1x
@@ -54,8 +56,9 @@ let run_jobs jobs =
   let ts = Exp_common.campaign_timeseries () in
   let r =
     timed (fun () ->
-        Campaign.run_parallel ?timeseries:ts ~jobs ~vm_for ~strategy_for
-          (config ~duration:(workload /. float_of_int jobs)))
+        Campaign.run
+          (Campaign.create_instance ?timeseries:ts ~jobs ~vm_for ~strategy_for
+             (config ~duration:(workload /. float_of_int jobs))))
   in
   (* The repeated -jobs 4 run overwrites its artifact with identical
      bytes — the timeseries shares the report's determinism contract. *)
@@ -76,7 +79,7 @@ let run () =
   Exp_common.section "E10: parallel executor speedup and reproducibility";
   let cores = Domain.recommended_domain_count () in
   Exp_common.log "host reports %d usable core(s)" cores;
-  let seq, seq_wall = run_jobs 1 in
+  let one, one_wall = run_jobs 1 in
   let results =
     List.map
       (fun jobs ->
@@ -88,16 +91,16 @@ let run () =
     Table.create
       ~title:
         (Printf.sprintf
-           "Same workload (%.0f virtual VM-seconds), sequential vs sharded"
+           "Same workload (%.0f virtual VM-seconds), 1 shard vs N shards"
            workload)
       ~header:[ "executor"; "execs"; "edges"; "wall"; "speedup" ]
       ()
   in
   Table.add_row t
-    [ "sequential";
-      string_of_int seq.Campaign.executions;
-      string_of_int seq.Campaign.final_edges;
-      Printf.sprintf "%.2fs" seq_wall;
+    [ "-jobs 1";
+      string_of_int one.Campaign.executions;
+      string_of_int one.Campaign.final_edges;
+      Printf.sprintf "%.2fs" one_wall;
       "1.00x" ];
   List.iter
     (fun (jobs, r, wall) ->
@@ -106,22 +109,22 @@ let run () =
           string_of_int r.Campaign.executions;
           string_of_int r.Campaign.final_edges;
           Printf.sprintf "%.2fs" wall;
-          Printf.sprintf "%.2fx" (seq_wall /. wall) ])
+          Printf.sprintf "%.2fx" (one_wall /. wall) ])
     results;
   Table.print t;
   Exp_common.emit_bench "E10"
-    (("seq_wall_s", seq_wall)
-    :: ("seq_execs", float_of_int seq.Campaign.executions)
+    (("jobs1_wall_s", one_wall)
+    :: ("jobs1_execs", float_of_int one.Campaign.executions)
     :: List.concat_map
          (fun (jobs, r, wall) ->
            [ (Printf.sprintf "jobs%d_wall_s" jobs, wall);
-             (Printf.sprintf "jobs%d_speedup" jobs, seq_wall /. wall);
+             (Printf.sprintf "jobs%d_speedup" jobs, one_wall /. wall);
              (Printf.sprintf "jobs%d_execs" jobs, float_of_int r.Campaign.executions)
            ])
          results);
   (match List.find_opt (fun (jobs, _, _) -> jobs = 4) results with
   | Some (_, _, wall4) ->
-    let speedup = seq_wall /. wall4 in
+    let speedup = one_wall /. wall4 in
     if cores >= 4 then
       Exp_common.log "speedup at -jobs 4: %.2fx — %s the 2x bar" speedup
         (if speedup >= 2.0 then "PASSES" else "FAILS")

@@ -61,7 +61,7 @@ let fuzz_throughput p =
   let run name strategy =
     let ts = Exp_common.campaign_timeseries () in
     let vm = Sp_fuzz.Vm.create ~seed:5 kernel in
-    let r = Campaign.run ?timeseries:ts vm strategy cfg in
+    let r = Exp_common.run_campaign ?timeseries:ts vm strategy cfg in
     Exp_common.emit_timeseries name ts;
     (* tests per second of the modelled full-size fleet *)
     (float_of_int r.Campaign.executions /. cfg.Campaign.duration *. 96.0, r)
@@ -93,7 +93,8 @@ let cache_bound_run p =
   let vm = Sp_fuzz.Vm.create ~seed:13 ~fleet_scale:(96.0 *. 24.0) kernel in
   let ts = Exp_common.campaign_timeseries () in
   let r =
-    Campaign.run ?timeseries:ts vm (Snowplow.Hybrid.strategy ~inference kernel)
+    Exp_common.run_campaign ?timeseries:ts vm
+      (Snowplow.Hybrid.strategy ~inference kernel)
       cfg
   in
   Exp_common.emit_timeseries "e8-cache-bound" ts;

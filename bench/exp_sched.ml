@@ -94,9 +94,11 @@ let run_back_to_back () =
               ~endpoint:(Snowplow.Funnel.endpoint funnel ~shard:0)
               kernel
           in
-          Campaign.run_parallel ~jobs:1
-            ~on_barrier:(fun ~now -> ignore (Snowplow.Funnel.flush funnel ~now))
-            ~vm_for:(vm_for k) ~strategy_for (cfg_for k)))
+          Campaign.run
+            (Campaign.create_instance ~jobs:1
+               ~on_barrier:(fun ~now ->
+                 ignore (Snowplow.Funnel.flush funnel ~now))
+               ~vm_for:(vm_for k) ~strategy_for (cfg_for k))))
 
 (* Scheduled arm: one service and one funnel with a lane per tenant,
    every campaign a tenant of one Scheduler.run over one shared pool. *)

@@ -171,30 +171,34 @@ let fuzz seed version hours run_seed system jobs trace_file ts_file
   (* Per-shard VM seeds are a pure function of (run_seed, shard), so a
      parallel run is reproducible from (seed, jobs) alone. *)
   let vm_for s = Sp_fuzz.Vm.create ~seed:(run_seed + (7919 * s)) k in
-  (* One launcher for both systems: fresh campaigns go through
-     [run_parallel] (which snapshots at barriers when --snapshot-dir is
-     given), resumed ones load the snapshot file and validate it against
-     the flags — resuming demands the same seed/hours/jobs/system flags
-     the snapshotted campaign was launched with. *)
+  (* One launcher for both systems: fresh campaigns start from the
+     config (snapshotting at barriers when --snapshot-dir is given),
+     resumed ones restore from the snapshot file, which the constructor
+     validates against the flags — resuming demands the same
+     seed/hours/jobs/system flags the snapshotted campaign was launched
+     with. *)
   let launch ?ts_extra ?on_barrier ?aux ~strategy_for () =
-    match resume_file with
-    | None ->
-      Campaign.run_parallel ~trace ?timeseries ?ts_extra ?on_barrier ?aux
-        ?snapshot_dir ~jobs ~vm_for ~strategy_for cfg
-    | Some file -> (
-      match Sp_fuzz.Snapshot.read file with
-      | Error msg ->
-        Printf.eprintf "snowplow fuzz: cannot read snapshot %s: %s\n" file msg;
-        exit 1
-      | Ok snap -> (
-        match
-          Campaign.resume ~trace ?timeseries ?ts_extra ?on_barrier ?aux
-            ?snapshot_dir ~snapshot:snap ~jobs ~vm_for ~strategy_for cfg
-        with
-        | Ok r -> r
+    let create ?restore () =
+      Campaign.create_instance ~trace ?timeseries ?ts_extra ?on_barrier ?aux
+        ?snapshot_dir ?restore ~jobs ~vm_for ~strategy_for cfg
+    in
+    let inst =
+      match resume_file with
+      | None -> create ()
+      | Some file -> (
+        match Sp_fuzz.Snapshot.read file with
         | Error msg ->
-          Printf.eprintf "snowplow fuzz: cannot resume from %s: %s\n" file msg;
-          exit 1))
+          Printf.eprintf "snowplow fuzz: cannot read snapshot %s: %s\n" file msg;
+          exit 1
+        | Ok snap -> (
+          match Sp_obs.Json.Decode.run (fun () -> create ~restore:snap ()) with
+          | Ok inst -> inst
+          | Error msg ->
+            Printf.eprintf "snowplow fuzz: cannot resume from %s: %s\n" file
+              msg;
+            exit 1))
+    in
+    Campaign.run inst
   in
   let name, run_campaign =
     match system with
@@ -225,44 +229,38 @@ let fuzz seed version hours run_seed system jobs trace_file ts_file
                float_of_int (Snowplow.Inference.cache_size inference));
             ]
           in
-          if jobs = 1 && snapshot_dir = None && resume_file = None then
-            Campaign.run ~trace ?timeseries ~ts_extra (vm_for 0)
-              (Snowplow.Hybrid.strategy ~inference k) cfg
-          else begin
-            (* One inference service for the whole fleet: shards enqueue
-               into per-shard outboxes and the funnel forwards them as one
-               batch at each snapshot barrier. *)
-            let funnel =
-              Snowplow.Funnel.create ~tracer:main_tracer ~shards:jobs inference
-            in
-            (* Service, funnel lanes and per-shard prediction memos ride
-               in the snapshot's aux field, so a resumed snowplow
-               campaign matches its uninterrupted run exactly. *)
-            let predictions =
-              Array.init jobs (fun _ -> Snowplow.Hybrid.make_predictions ())
-            in
-            let aux =
-              Snowplow.Persist.aux
-                ~parse:(Sp_syzlang.Parser.program db)
-                ~inference ~funnel ~predictions
-            in
-            let ts_extra () =
-              ts_extra ()
-              @ [
-                  ("funnel.deferred",
-                   float_of_int (Snowplow.Funnel.requests_deferred funnel));
-                  ("funnel.dropped",
-                   float_of_int (Snowplow.Funnel.dropped funnel));
-                ]
-            in
-            launch ~ts_extra ~aux
-              ~strategy_for:(fun s ->
-                Snowplow.Hybrid.strategy_with ~predictions:(predictions.(s))
-                  ~endpoint:(Snowplow.Funnel.endpoint funnel ~shard:s)
-                  k)
-              ~on_barrier:(fun ~now -> ignore (Snowplow.Funnel.flush funnel ~now))
-              ()
-          end )
+          (* One inference service for the whole fleet: shards enqueue
+             into per-shard outboxes and the funnel forwards them as one
+             batch at each snapshot barrier, on the main domain. *)
+          let funnel =
+            Snowplow.Funnel.create ~tracer:main_tracer ~shards:jobs inference
+          in
+          (* Service, funnel lanes and per-shard prediction memos ride in
+             the snapshot's aux field, so a resumed snowplow campaign
+             matches its uninterrupted run exactly. *)
+          let predictions =
+            Array.init jobs (fun _ -> Snowplow.Hybrid.make_predictions ())
+          in
+          let aux =
+            Snowplow.Persist.aux
+              ~parse:(Sp_syzlang.Parser.program db)
+              ~inference ~funnel ~predictions
+          in
+          let ts_extra () =
+            ts_extra ()
+            @ [
+                ("funnel.deferred",
+                 float_of_int (Snowplow.Funnel.requests_deferred funnel));
+                ("funnel.dropped", float_of_int (Snowplow.Funnel.dropped funnel));
+              ]
+          in
+          launch ~ts_extra ~aux
+            ~strategy_for:(fun s ->
+              Snowplow.Hybrid.strategy_with ~predictions:(predictions.(s))
+                ~endpoint:(Snowplow.Funnel.endpoint funnel ~shard:s)
+                k)
+            ~on_barrier:(fun ~now -> ignore (Snowplow.Funnel.flush funnel ~now))
+            () )
   in
   Printf.printf "fuzzing %s for %.1f virtual hours with %s (%d job%s)...\n%!"
     version hours name jobs
@@ -314,8 +312,7 @@ let snapshot_dir_arg =
           "Persist the campaign state to $(docv)/snapshot-NNNNNN.json after \
            every merge barrier (written atomically: a kill mid-write leaves \
            the previous snapshot intact). A killed campaign can then be \
-           continued with $(b,--resume). Forces the barrier-merged executor \
-           even with --jobs 1.")
+           continued with $(b,--resume).")
 
 let resume_arg =
   Arg.(
@@ -340,10 +337,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker shards (OCaml domains). With N > 1 the campaign runs on \
-           the parallel executor: N VMs fuzz independently between \
-           snapshot barriers and merge deterministically, so results are \
-           reproducible given (run-seed, jobs).")
+          "Worker shards (OCaml domains): N VMs fuzz independently \
+           between snapshot barriers and merge deterministically, so \
+           results are reproducible given (run-seed, jobs).")
 
 let trace_file_arg =
   Arg.(
@@ -1118,8 +1114,14 @@ let directed seed version hours run_seed bug_id =
     }
   in
   let run name strategy =
-    let vm = Sp_fuzz.Vm.create ~fleet_scale:192.0 ~seed:run_seed k in
-    let r = Campaign.run vm strategy cfg in
+    let r =
+      Campaign.run
+        (Campaign.create_instance ~jobs:1
+           ~vm_for:(fun _ ->
+             Sp_fuzz.Vm.create ~fleet_scale:192.0 ~seed:run_seed k)
+           ~strategy_for:(fun _ -> strategy)
+           cfg)
+    in
     match r.Campaign.target_hit_at with
     | Some t -> Printf.printf "%-12s reached the target in %.0f virtual seconds\n" name t
     | None -> Printf.printf "%-12s did not reach the target\n" name

@@ -17,7 +17,11 @@ let () =
   in
   print_endline "accumulating a corpus (1 virtual hour of Syzkaller)...";
   let r =
-    Campaign.run (Sp_fuzz.Vm.create ~seed:7 kernel) (Sp_fuzz.Strategy.syzkaller db) cfg
+    Campaign.run
+      (Campaign.create_instance ~jobs:1
+         ~vm_for:(fun _ -> Sp_fuzz.Vm.create ~seed:7 kernel)
+         ~strategy_for:(fun _ -> Sp_fuzz.Strategy.syzkaller db)
+         cfg)
   in
   let corpus_progs =
     List.map (fun (e : Sp_fuzz.Corpus.entry) -> e.Sp_fuzz.Corpus.prog)

@@ -30,8 +30,13 @@ let () =
     }
   in
   print_endline "fuzzing 12 virtual hours with reproduction enabled...";
-  let vm = Sp_fuzz.Vm.create ~seed:3 kernel in
-  let report = Campaign.run vm (Sp_fuzz.Strategy.syzkaller db) cfg in
+  let report =
+    Campaign.run
+      (Campaign.create_instance ~jobs:1
+         ~vm_for:(fun _ -> Sp_fuzz.Vm.create ~seed:3 kernel)
+         ~strategy_for:(fun _ -> Sp_fuzz.Strategy.syzkaller db)
+         cfg)
+  in
   Printf.printf "executions: %d; crashes found: %d (%d new, %d known)\n\n"
     report.Campaign.executions
     (List.length report.Campaign.crashes)

@@ -57,8 +57,13 @@ let () =
         target = Some target;
       }
     in
-    let vm = Sp_fuzz.Vm.create ~fleet_scale:192.0 ~seed:2 kernel in
-    let r = Campaign.run vm strategy cfg in
+    let r =
+      Campaign.run
+        (Campaign.create_instance ~jobs:1
+           ~vm_for:(fun _ -> Sp_fuzz.Vm.create ~fleet_scale:192.0 ~seed:2 kernel)
+           ~strategy_for:(fun _ -> strategy)
+           cfg)
+    in
     (match r.Campaign.target_hit_at with
     | Some t -> Printf.printf "%-12s reached the target after %.0f virtual seconds\n" name t
     | None -> Printf.printf "%-12s did not reach the target within the cap\n" name);

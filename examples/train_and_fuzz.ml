@@ -34,18 +34,19 @@ let () =
       snapshot_every = 1800.0;
     }
   in
-  print_endline "running 6 virtual hours of Syzkaller...";
-  let syz =
-    Campaign.run (Sp_fuzz.Vm.create ~seed:1 kernel) (Sp_fuzz.Strategy.syzkaller db) cfg
+  (* One job: a single-shard campaign on its own VM. *)
+  let fuzz strategy =
+    Campaign.run
+      (Campaign.create_instance ~jobs:1
+         ~vm_for:(fun _ -> Sp_fuzz.Vm.create ~seed:1 kernel)
+         ~strategy_for:(fun _ -> strategy)
+         cfg)
   in
+  print_endline "running 6 virtual hours of Syzkaller...";
+  let syz = fuzz (Sp_fuzz.Strategy.syzkaller db) in
   print_endline "running 6 virtual hours of Snowplow...";
   let inference = Snowplow.Pipeline.inference_for p kernel in
-  let snow =
-    Campaign.run
-      (Sp_fuzz.Vm.create ~seed:1 kernel)
-      (Snowplow.Hybrid.strategy ~inference kernel)
-      cfg
-  in
+  let snow = fuzz (Snowplow.Hybrid.strategy ~inference kernel) in
   Printf.printf "\n%-10s %8s %8s\n" "uptime" "Syzkaller" "Snowplow";
   List.iter2
     (fun (s : Campaign.snapshot) (n : Campaign.snapshot) ->

@@ -1,6 +1,6 @@
 (** Barrier-batched fan-in of shard inference requests.
 
-    A parallel campaign runs one PMM inference service for all shards —
+    A campaign runs one PMM inference service for all its shards —
     the paper's single torchserve machine. Letting shards call the
     service mid-epoch would make admission order (and therefore the
     queue/cache state) depend on thread scheduling, so the funnel defers
@@ -8,7 +8,7 @@
     {!endpoint} only appends requests to that shard's private outbox and
     drains predictions from that shard's private inbox — no cross-domain
     contention, no locks. At the barrier (on the main domain, via
-    [Campaign.run_parallel ~on_barrier]) {!flush} forwards the outboxes
+    [Campaign.create_instance ~on_barrier]) {!flush} forwards the outboxes
     to the service in shard order as one {!Inference.request_batch} and
     broadcasts every completed prediction to all inboxes, keeping the
     run bit-for-bit reproducible given [(seed, jobs)].

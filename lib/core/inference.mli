@@ -111,8 +111,8 @@ val request_batch :
 
     The hybrid strategy talks to inference through this record rather than
     to the service directly, so the same strategy code runs against a
-    private service (sequential campaigns) or a per-shard view of a shared
-    funnel (parallel campaigns). *)
+    private service (called in-line, e.g. offline experiments) or a
+    per-shard view of a shared funnel (served campaigns). *)
 
 type endpoint = {
   ep_request : now:float -> Sp_syzlang.Prog.t -> targets:int list -> bool;

@@ -57,9 +57,13 @@ let collect_bases config kernel =
         duration = config.warmup_duration;
       }
     in
-    let vm = Sp_fuzz.Vm.create ~seed:(config.kernel_seed lxor 0x77) kernel in
     let warm =
-      Sp_fuzz.Campaign.run vm (Sp_fuzz.Strategy.syzkaller db) warm_cfg
+      Sp_fuzz.Campaign.run
+        (Sp_fuzz.Campaign.create_instance ~jobs:1
+           ~vm_for:(fun _ ->
+             Sp_fuzz.Vm.create ~seed:(config.kernel_seed lxor 0x77) kernel)
+           ~strategy_for:(fun _ -> Sp_fuzz.Strategy.syzkaller db)
+           warm_cfg)
     in
     let corpus_bases =
       Sp_fuzz.Corpus.entries warm.Sp_fuzz.Campaign.corpus

@@ -56,6 +56,9 @@ let add_stamped t ~blocks ~edges =
   t.nedges <- t.nedges + !new_edges;
   { new_blocks = !new_blocks; new_edges = !new_edges }
 
+let merge_into ~dst src =
+  ignore (add dst ~blocks:src.block_cover ~edges:src.edge_cover)
+
 let would_add t ~blocks ~edges =
   {
     new_blocks = Bitset.diff_cardinal blocks t.block_cover;

@@ -22,6 +22,9 @@ val add_stamped :
     O(sets' cardinal) rather than O(universe), with no intermediate bitset.
     The sets are only read. *)
 
+val merge_into : dst:t -> t -> unit
+(** Union another accumulator's coverage into [dst] (same capacities). *)
+
 val would_add : t -> blocks:Sp_util.Bitset.t -> edges:Sp_util.Bitset.t -> delta
 (** Novelty of an execution without merging it. *)
 

@@ -44,7 +44,7 @@ type snapshot = {
 (* Telemetry sampler: one timeseries row per snapshot-grid point, fed
    from the same state the snapshot reads. Rows carry only virtual-clock
    and merged-state values, so the exported series inherits the
-   executors' determinism contract — no wall clock, no scheduling. *)
+   executor's determinism contract — no wall clock, no scheduling. *)
 type sampler = {
   sm_ts : Timeseries.t option;
   sm_extra : unit -> (string * float) list;
@@ -164,265 +164,24 @@ let report_json r =
       ("covered_blocks", Accum.bitset_to_json r.covered_blocks)
     ]
 
-type state = {
-  vm : Vm.t;
-  clock : Clock.t;
-  rng : Rng.t;
-  corpus : Corpus.t;
-  accum : Accum.t;
-  triage : Triage.t;
-  config : config;
-  metrics : Metrics.t;
-  tracer : Tracer.t;
-  sampler : sampler;
-  mutable series_rev : snapshot list;
-  mutable next_snapshot : float;
-  mutable crash_count : int;
-  mutable target_hit_at : float option;
-  origin_stats : (string, int * int) Hashtbl.t;
-  executed : (int, Prog.t list) Hashtbl.t;
-}
-
-let take_snapshots st =
-  while Clock.now st.clock >= st.next_snapshot do
-    let s_blocks = Accum.blocks_covered st.accum in
-    let s_edges = Accum.edges_covered st.accum in
-    let s_execs = Vm.executions st.vm in
-    st.series_rev <-
-      {
-        s_time = st.next_snapshot;
-        s_blocks;
-        s_edges;
-        s_crashes = st.crash_count;
-        s_execs;
-      }
-      :: st.series_rev;
-    sample_row st.sampler ~time:st.next_snapshot ~blocks:s_blocks
-      ~edges:s_edges ~crashes:st.crash_count ~execs:s_execs
-      ~corpus_size:(Corpus.size st.corpus);
-    Tracer.instant st.tracer "campaign.snapshot";
-    Tracer.counter st.tracer "edges" (float_of_int s_edges);
-    st.next_snapshot <- st.next_snapshot +. st.config.snapshot_every
-  done
-
-let check_target st =
-  match st.config.target with
-  | Some b when st.target_hit_at = None && Accum.mem_block st.accum b ->
-    st.target_hit_at <- Some (Clock.now st.clock)
-  | Some _ | None -> ()
-
-(* The executed-set is keyed by hash but confirmed structurally, like the
-   corpus: a collision must cost a redundant execution, not skip a
-   never-run program. *)
-let seen_executed st prog h =
-  match Hashtbl.find_opt st.executed h with
-  | None -> false
-  | Some bucket -> List.exists (Prog.equal prog) bucket
-
-let mark_executed st prog h =
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt st.executed h) in
-  Hashtbl.replace st.executed h (prog :: bucket)
-
-(* Ingest the VM scratch's last execution. The stamped views are only
-   borrowed: novelty is judged with [Accum.add_stamped] directly on them,
-   and bitsets are materialized only for the rare corpus admission.
-   [scratch_crash] is read before [Triage.record], whose repro attempts
-   re-execute (into the kernel's per-domain default scratch, not this
-   VM's — the views stay valid regardless). *)
-let ingest_raw ?(origin = "seed") st prog =
-  let scratch = Vm.scratch st.vm in
-  let crash = Kernel.scratch_crash scratch in
-  let delta =
-    Accum.add_stamped st.accum
-      ~blocks:(Kernel.scratch_blocks scratch)
-      ~edges:(Kernel.scratch_edges scratch)
-  in
-  (let execs, new_edges =
-     Option.value ~default:(0, 0) (Hashtbl.find_opt st.origin_stats origin)
-   in
-   Hashtbl.replace st.origin_stats origin
-     (execs + 1, new_edges + delta.Accum.new_edges));
-  (* Crashing programs never enter the corpus: the VM died, and mutating
-     them would mostly re-trigger the same crash (Syzkaller behaves the
-     same way). *)
-  if crash = None && (delta.Accum.new_blocks > 0 || delta.Accum.new_edges > 0)
-  then
-    if
-      Corpus.add st.corpus
-        {
-          Corpus.prog;
-          blocks = Kernel.scratch_blocks_bitset scratch;
-          edges = Kernel.scratch_edges_bitset scratch;
-          added_at = Clock.now st.clock;
-        }
-    then Metrics.incr st.metrics "campaign.corpus_adds";
-  (match crash with
-  | Some crash -> (
-    match
-      Triage.record ~attempt_repro:st.config.attempt_repro st.triage st.rng
-        ~vm:st.vm ~now:(Clock.now st.clock) crash prog
-    with
-    | Some _ ->
-      st.crash_count <- st.crash_count + 1;
-      Metrics.incr st.metrics "campaign.crashes"
-    | None -> ())
-  | None -> ());
-  check_target st;
-  take_snapshots st
-
-let finished st =
-  Clock.now st.clock >= st.config.duration
-  || (st.config.target <> None && st.target_hit_at <> None)
-
-let run ?(trace = Trace.disabled) ?timeseries ?ts_extra vm
-    (strategy : Strategy.t) config =
-  Vm.set_throughput_factor vm strategy.Strategy.throughput_factor;
-  let kernel = Vm.kernel vm in
-  let metrics = Metrics.create () in
-  Vm.set_metrics vm metrics;
-  let tracer = Trace.tracer trace ~pid:0 ~name:"campaign" in
-  Vm.set_tracer vm tracer;
-  let dist_to_target =
-    match config.target with
-    | Some b -> Sp_cfg.Cfg.distances_to (Kernel.cfg kernel) b
-    | None -> [||]
-  in
-  (* Directed mode: an entry's distance to the target is fixed once its
-     coverage is known, so it is computed exactly once, on admission, and
-     the corpus keeps the minimum tier indexed (no per-choice scan and no
-     hash-keyed memo). *)
-  let entry_distance (entry : Corpus.entry) =
-    Bitset.fold
-      (fun b acc -> min acc dist_to_target.(b))
-      entry.Corpus.blocks max_int
-  in
-  let st =
-    {
-      vm;
-      clock = Clock.create ();
-      rng = Rng.create config.seed;
-      corpus =
-        Corpus.create
-          ?distance:(if config.target = None then None else Some entry_distance)
-          ();
-      accum =
-        Accum.create ~num_blocks:(Kernel.num_blocks kernel)
-          ~num_edges:(Sp_cfg.Cfg.num_edges (Kernel.cfg kernel));
-      triage = Triage.create kernel;
-      config;
-      metrics;
-      tracer;
-      sampler = make_sampler ?timeseries ?ts_extra ();
-      series_rev = [];
-      next_snapshot = config.snapshot_every;
-      crash_count = 0;
-      target_hit_at = None;
-      origin_stats = Hashtbl.create 16;
-      executed = Hashtbl.create 4096;
-    }
-  in
-  (* Seed the corpus. *)
-  List.iter
-    (fun prog ->
-      if not (finished st) then begin
-        mark_executed st prog (Prog.hash prog);
-        Vm.run_raw st.vm st.clock prog;
-        ingest_raw st prog
-      end)
-    config.seed_corpus;
-  (* Main loop. *)
-  while (not (finished st)) && Corpus.size st.corpus > 0 do
-    Metrics.incr st.metrics "campaign.iterations";
-    let iter_start = Clock.now st.clock in
-    let entry =
-      match config.target with
-      | Some _ -> Corpus.choose_directed st.rng st.corpus
-      | None -> Corpus.choose st.rng st.corpus
-    in
-    let proposals =
-      Metrics.time st.metrics "campaign.propose_cpu_s" (fun () ->
-          strategy.Strategy.propose st.rng ~now:(Clock.now st.clock)
-            ~covered:(Accum.blocks st.accum) st.corpus entry)
-    in
-    Metrics.incr ~by:(List.length proposals) st.metrics "campaign.proposals";
-    List.iter
-      (fun (p : Strategy.proposal) ->
-        if not (finished st) then begin
-          let h = Prog.hash p.Strategy.prog in
-          if seen_executed st p.Strategy.prog h then begin
-            Metrics.incr st.metrics "campaign.duplicates";
-            Vm.charge_duplicate st.vm st.clock
-          end
-          else begin
-            mark_executed st p.Strategy.prog h;
-            Vm.run_raw st.vm st.clock p.Strategy.prog;
-            ingest_raw ~origin:p.Strategy.origin st p.Strategy.prog
-          end
-        end)
-      proposals;
-    Metrics.observe st.metrics "campaign.iter_virtual_s"
-      (Clock.now st.clock -. iter_start)
-  done;
-  (* Close the series at the end of the campaign. *)
-  Clock.advance st.clock (Float.max 0.0 (config.duration -. Clock.now st.clock));
-  take_snapshots st;
-  let needs_final =
-    match st.series_rev with
-    | last :: _ -> last.s_time < config.duration
-    | [] -> true
-  in
-  if needs_final then begin
-    let s_blocks = Accum.blocks_covered st.accum in
-    let s_edges = Accum.edges_covered st.accum in
-    let s_execs = Vm.executions st.vm in
-    st.series_rev <-
-      { s_time = config.duration;
-        s_blocks;
-        s_edges;
-        s_crashes = st.crash_count;
-        s_execs }
-      :: st.series_rev;
-    sample_row st.sampler ~time:config.duration ~blocks:s_blocks
-      ~edges:s_edges ~crashes:st.crash_count ~execs:s_execs
-      ~corpus_size:(Corpus.size st.corpus)
-  end;
-  {
-    series = List.rev st.series_rev;
-    final_blocks = Accum.blocks_covered st.accum;
-    final_edges = Accum.edges_covered st.accum;
-    crashes = Triage.all_found st.triage;
-    new_crashes = Triage.new_crashes st.triage;
-    known_crashes = Triage.known_crashes st.triage;
-    executions = Vm.executions st.vm;
-    corpus_size = Corpus.size st.corpus;
-    target_hit_at = st.target_hit_at;
-    origin_stats =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.origin_stats []
-      |> List.sort compare;
-    corpus = st.corpus;
-    (* the accumulator dies with the campaign, but the report escapes it:
-       hand out a snapshot, not the live set *)
-    covered_blocks = Accum.snapshot_blocks st.accum;
-    metrics = st.metrics;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* Parallel executor: campaign instances                                *)
+(* The executor: campaign instances                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A parallel campaign is an [instance]: the merged global state plus the
-   shard array, stepped one barrier slice at a time against a worker pool
-   the caller owns. [run_parallel] drives one instance to completion over
-   a private pool; the multi-tenant {!Scheduler} interleaves slices of
-   many instances over one shared pool. Shards fuzz independently between
-   snapshot barriers, against private copies of the barrier-frozen global
-   corpus and accumulator; at each barrier the main domain folds every
-   shard's epoch results into the global state in shard order
-   (0..jobs-1). Each shard's epoch is a pure function of the frozen
-   global snapshot and its own RNG stream, and the merge order is fixed,
-   so the whole run is bit-for-bit reproducible given
-   (config.seed, jobs) — thread scheduling (and, for the scheduler,
-   slice interleaving) can change wall-clock time, never the report. *)
+(* A campaign is an [instance]: the merged global state plus the shard
+   array (one shard per job, jobs = 1 included), stepped one barrier
+   slice at a time against a worker pool. [run] drives one instance to
+   completion over a private pool; the multi-tenant {!Scheduler}
+   interleaves slices of many instances over one shared pool. Shards
+   fuzz independently between snapshot barriers, against private copies
+   of the barrier-frozen global corpus and accumulator; at each barrier
+   the main domain folds every shard's epoch results into the global
+   state in shard order (0..jobs-1). Each shard's epoch is a pure
+   function of the frozen global snapshot and its own RNG stream, and
+   the merge order is fixed, so the whole run is bit-for-bit
+   reproducible given (config.seed, jobs) — thread scheduling (and, for
+   the scheduler, slice interleaving) can change wall-clock time, never
+   the report. *)
 
 type aux = {
   aux_json : unit -> Json.t;
@@ -437,6 +196,7 @@ type instance = {
   i_accum : Accum.t;
   i_triage : Triage.t;
   i_metrics : Metrics.t;
+  i_trace : Trace.t;
   i_tracer : Tracer.t;  (* the instance's main-domain lane *)
   i_sampler : sampler;
   i_merge_rng : Rng.t;
@@ -461,13 +221,40 @@ type slice = {
   sl_handles : Shard.epoch Pool.handle array;
 }
 
+(* Raises [Json.Decode.Error]; callers wrap in [Json.Decode.run]. *)
+let validate_snapshot ~snapshot ~jobs config =
+  let open Json.Decode in
+  (match Json.member "format" snapshot with
+  | Some (Json.Str "snowplow-campaign-snapshot") -> ()
+  | _ -> error "not a campaign snapshot (missing or wrong \"format\")");
+  let v = int_field "version" snapshot in
+  if v <> Snapshot.format_version then
+    error "snapshot format version %d, this build reads %d" v
+      Snapshot.format_version;
+  let c = field "config" snapshot in
+  let mismatch what = error "snapshot config mismatch: %s differs" what in
+  if int_field "seed" c <> config.seed then mismatch "seed";
+  if int_field "jobs" c <> jobs then mismatch "jobs";
+  if num_field "duration" c <> config.duration then mismatch "duration";
+  if num_field "snapshot_every" c <> config.snapshot_every then
+    mismatch "snapshot_every";
+  if bool_field "attempt_repro" c <> config.attempt_repro then
+    mismatch "attempt_repro";
+  match (field "target" c, config.target) with
+  | Json.Null, None -> ()
+  | Json.Num f, Some b when Float.is_integer f && int_of_float f = b -> ()
+  | _ -> mismatch "target"
+
 let create_instance ?snapshot_dir ?restore ?(on_barrier = fun ~now:_ -> ())
     ?(trace = Trace.disabled) ?timeseries ?ts_extra ?aux ?(pid_base = 0)
     ?label ?(faults = Faults.disabled) ?(events = Events.null) ~jobs ~vm_for
     ~strategy_for config =
-  if jobs < 1 then invalid_arg "Campaign.run_parallel: jobs must be >= 1";
+  if jobs < 1 then invalid_arg "Campaign.create_instance: jobs must be >= 1";
   if config.snapshot_every <= 0.0 then
-    invalid_arg "Campaign.run_parallel: snapshot_every must be positive";
+    invalid_arg "Campaign.create_instance: snapshot_every must be positive";
+  (* Before any VM or strategy is built: a restore path cannot skip the
+     launch-parameter check. *)
+  Option.iter (fun snapshot -> validate_snapshot ~snapshot ~jobs config) restore;
   let metrics = Metrics.create () in
   (* Tracer handouts happen here, on the main domain, before any worker
      exists; each shard then owns its tracer exclusively. *)
@@ -501,6 +288,10 @@ let create_instance ?snapshot_dir ?restore ?(on_barrier = fun ~now:_ -> ())
     | Some b -> Sp_cfg.Cfg.distances_to (Kernel.cfg kernel) b
     | None -> [||]
   in
+  (* Directed mode: an entry's distance to the target is fixed once its
+     coverage is known, so it is computed exactly once, on admission, and
+     the corpus keeps the minimum tier indexed (no per-choice scan and no
+     hash-keyed memo). *)
   let entry_distance (entry : Corpus.entry) =
     Bitset.fold
       (fun b acc -> min acc dist_to_target.(b))
@@ -532,6 +323,7 @@ let create_instance ?snapshot_dir ?restore ?(on_barrier = fun ~now:_ -> ())
       i_accum = accum;
       i_triage = Triage.create kernel;
       i_metrics = metrics;
+      i_trace = trace;
       i_tracer = main_tracer;
       i_sampler = sampler;
       i_merge_rng = merge_rng;
@@ -604,8 +396,6 @@ let instance_stopped inst = inst.i_stopped
 
 let instance_barrier inst = inst.i_barrier
 
-let instance_jobs inst = inst.i_jobs
-
 let instance_executions inst =
   Array.fold_left
     (fun acc sh -> acc + Vm.executions (Shard.vm sh))
@@ -653,7 +443,7 @@ let snapshot_doc inst ~stopped ~barrier =
         match inst.i_aux with None -> Json.Null | Some a -> a.aux_json () )
     ]
 
-let take_instance_snapshots inst now =
+let take_snapshots inst now =
   let config = inst.i_config in
   while
     now >= inst.i_next_snapshot -. 1e-9
@@ -696,10 +486,11 @@ let merge_epoch inst (ep : Shard.epoch) =
           Metrics.incr inst.i_metrics "campaign.corpus_adds")
     ep.Shard.ep_admissions;
   (* Then the rest of the epoch's coverage (crashing and non-novel
-     executions contribute coverage without corpus entries). *)
-  ignore
-    (Accum.add inst.i_accum ~blocks:ep.Shard.ep_blocks
-       ~edges:ep.Shard.ep_edges);
+     executions contribute coverage without corpus entries). The epoch
+     accumulator also holds the frozen global set, which the global
+     accumulator already contains, so the union adds exactly what the
+     epoch observed. *)
+  Accum.merge_into ~dst:inst.i_accum ep.Shard.ep_coverage;
   List.iter
     (fun (ce : Shard.crash_event) ->
       match
@@ -819,7 +610,7 @@ let complete_slice inst slice =
       epochs
   | Some _ | None -> ());
   inst.i_on_barrier ~now;
-  take_instance_snapshots inst now;
+  take_snapshots inst now;
   let all_idle =
     List.for_all (fun (ep : Shard.epoch) -> ep.Shard.ep_idle) epochs
   in
@@ -859,14 +650,11 @@ let complete_slice inst slice =
   | None -> ());
   Tracer.end_span inst.i_tracer "campaign.barrier"
 
-let step_instance inst ~pool ?max_execs () =
-  complete_slice inst (begin_slice inst ~pool ?max_execs ())
-
 let finish_instance inst =
   let config = inst.i_config in
-  (* Close the series grid out to the configured duration, exactly like
-     the sequential executor does on early exit. *)
-  take_instance_snapshots inst config.duration;
+  (* Close the series grid out to the configured duration: a campaign
+     that stopped early (target hit, no work) still reports a full grid. *)
+  take_snapshots inst config.duration;
   let needs_final =
     match inst.i_series_rev with
     | last :: _ -> last.s_time < config.duration
@@ -913,71 +701,21 @@ let finish_instance inst =
     metrics = inst.i_metrics;
   }
 
-let run_sharded ?snapshot_dir ?restore ?on_barrier ?(trace = Trace.disabled)
-    ?timeseries ?ts_extra ?aux ?faults ~jobs ~vm_for ~strategy_for config =
-  let inst =
-    create_instance ?snapshot_dir ?restore ?on_barrier ~trace ?timeseries
-      ?ts_extra ?aux ?faults ~jobs ~vm_for ~strategy_for config
-  in
+let run inst =
   let pool_metrics = Metrics.create () in
-  Pool.with_pool ?faults ~metrics:pool_metrics
+  Pool.with_pool ~faults:inst.i_faults ~metrics:pool_metrics
     ~tracer_for:(fun i ->
-      Trace.tracer trace ~pid:(1001 + i)
+      Trace.tracer inst.i_trace ~pid:(1001 + i)
         ~name:(Printf.sprintf "pool-worker-%d" i))
-    ~workers:jobs
+    ~workers:inst.i_jobs
     (fun pool ->
       while not inst.i_stopped do
-        step_instance inst ~pool ()
+        complete_slice inst (begin_slice inst ~pool ())
       done);
   let report = finish_instance inst in
   (* The pool's registry merges after shutdown: workers are joined. *)
   Metrics.merge_into ~dst:report.metrics pool_metrics;
   report
-
-let run_parallel ?on_barrier ?(trace = Trace.disabled) ?timeseries ?ts_extra
-    ?snapshot_dir ?aux ?faults ~jobs ~vm_for ~strategy_for config =
-  if jobs < 1 then invalid_arg "Campaign.run_parallel: jobs must be >= 1";
-  if config.snapshot_every <= 0.0 then
-    invalid_arg "Campaign.run_parallel: snapshot_every must be positive";
-  (* Snapshotting needs the barrier structure, so it forces the sharded
-     path even for a single job; without it jobs = 1 keeps delegating to
-     the sequential executor (and stays bit-identical to it). *)
-  if jobs = 1 && snapshot_dir = None && Option.is_none faults then
-    run ~trace ?timeseries ?ts_extra (vm_for 0) (strategy_for 0) config
-  else
-    run_sharded ?snapshot_dir ?on_barrier ~trace ?timeseries ?ts_extra ?aux
-      ?faults ~jobs ~vm_for ~strategy_for config
-
-(* Raises [Json.Decode.Error]; callers wrap in [Json.Decode.run]. *)
-let validate_snapshot ~snapshot ~jobs config =
-  let open Json.Decode in
-  (match Json.member "format" snapshot with
-  | Some (Json.Str "snowplow-campaign-snapshot") -> ()
-  | _ -> error "not a campaign snapshot (missing or wrong \"format\")");
-  let v = int_field "version" snapshot in
-  if v <> Snapshot.format_version then
-    error "snapshot format version %d, this build reads %d" v
-      Snapshot.format_version;
-  let c = field "config" snapshot in
-  let mismatch what = error "snapshot config mismatch: %s differs" what in
-  if int_field "seed" c <> config.seed then mismatch "seed";
-  if int_field "jobs" c <> jobs then mismatch "jobs";
-  if num_field "duration" c <> config.duration then mismatch "duration";
-  if num_field "snapshot_every" c <> config.snapshot_every then
-    mismatch "snapshot_every";
-  if bool_field "attempt_repro" c <> config.attempt_repro then
-    mismatch "attempt_repro";
-  match (field "target" c, config.target) with
-  | Json.Null, None -> ()
-  | Json.Num f, Some b when Float.is_integer f && int_of_float f = b -> ()
-  | _ -> mismatch "target"
-
-let resume ?on_barrier ?(trace = Trace.disabled) ?timeseries ?ts_extra
-    ?snapshot_dir ?aux ?faults ~snapshot ~jobs ~vm_for ~strategy_for config =
-  Json.Decode.run (fun () ->
-      validate_snapshot ~snapshot ~jobs config;
-      run_sharded ~restore:snapshot ?snapshot_dir ?on_barrier ~trace
-        ?timeseries ?ts_extra ?aux ?faults ~jobs ~vm_for ~strategy_for config)
 
 let coverage_at report time =
   let rec go last = function

@@ -47,32 +47,10 @@ type report = {
       (** final block coverage (an independent snapshot, safe to mutate) *)
   metrics : Sp_util.Metrics.t;
       (** loop observability: [campaign.*] counters (iterations, proposals,
-          duplicates, corpus adds, crashes) and histograms (per-iteration
-          virtual time, proposal CPU time), plus the [vm.*] metrics the VM
-          records into the same registry *)
+          duplicates, corpus adds, crashes, barriers) and histograms
+          (per-iteration virtual time, proposal wall time), plus the
+          [vm.*] metrics the shard VMs record *)
 }
-
-val run :
-  ?trace:Sp_obs.Trace.t ->
-  ?timeseries:Sp_obs.Timeseries.t ->
-  ?ts_extra:(unit -> (string * float) list) ->
-  Vm.t ->
-  Strategy.t ->
-  config ->
-  report
-(** Telemetry (both executors): with [trace], the campaign records into
-    the collection — pid 0 is the main domain ([campaign.snapshot]
-    instants, an [edges] counter, and in parallel runs [campaign.barrier]
-    / [campaign.merge] spans), pid [1+s] is shard [s] ([shard.epoch]
-    spans, [vm.crash_restart] instants), pid [1001+i] is pool worker [i]
-    ([pool.task] spans, [pool.steal] instants). With [timeseries], one
-    row is appended per snapshot-grid point carrying [blocks], [edges],
-    [execs], [execs_per_s], [corpus] and [crashes] plus whatever
-    [ts_extra ()] returns (sampled on the main domain at the same grid
-    point). The timeseries reads only virtual-clock/merged state, so it
-    is bit-for-bit reproducible given [(config.seed, jobs)]; the trace
-    carries wall-clock timestamps and is explicitly {e not} part of that
-    determinism contract. *)
 
 type aux = {
   aux_json : unit -> Sp_obs.Json.t;
@@ -82,85 +60,25 @@ type aux = {
     the snowplow layer uses to persist its inference service, funnel and
     prediction caches (see [Snowplow.Persist]). [aux_json] is called
     after every barrier merge, at quiescence (no epoch in flight);
-    [aux_restore] is called once during {!resume} with the snapshot's
-    [aux] field (when it is not [Null]). Campaigns without an [aux]
-    write [Null] and ignore the field on restore. *)
-
-val run_parallel :
-  ?on_barrier:(now:float -> unit) ->
-  ?trace:Sp_obs.Trace.t ->
-  ?timeseries:Sp_obs.Timeseries.t ->
-  ?ts_extra:(unit -> (string * float) list) ->
-  ?snapshot_dir:string ->
-  ?aux:aux ->
-  ?faults:Sp_util.Faults.t ->
-  jobs:int ->
-  vm_for:(int -> Vm.t) ->
-  strategy_for:(int -> Strategy.t) ->
-  config ->
-  report
-(** Shard the campaign across [jobs] worker domains (see {!Shard}). Each
-    shard owns the VM and strategy built by [vm_for]/[strategy_for] for
-    its index and a named split of the campaign RNG; seed tests are dealt
-    round-robin. Shards fuzz independently between snapshot barriers
-    (every [snapshot_every] virtual seconds); at each barrier the main
-    domain folds coverage, corpus admissions (re-judged for novelty) and
-    crashes into the global state {e in shard order}, making the run
-    bit-for-bit reproducible given [(config.seed, jobs)] regardless of
-    scheduling. [on_barrier] runs on the main domain after each merge —
-    the hook the snowplow layer uses to flush batched inference requests.
-    [jobs = 1] delegates to the sequential {!run}. The report's registry
-    additionally carries per-shard loop/vm metrics (merged in shard
-    order) and the worker pool's [pool.*] metrics.
-
-    With [snapshot_dir], the merged campaign state is persisted after
-    every barrier as [snapshot_dir/snapshot-NNNNNN.json] (written
-    atomically; a kill mid-write leaves the previous barrier's file
-    intact), and {!resume} can continue the campaign from any of them.
-    Snapshotting requires the barrier structure, so [jobs = 1] then runs
-    the sharded executor (one shard) rather than delegating to {!run}. *)
-
-val resume :
-  ?on_barrier:(now:float -> unit) ->
-  ?trace:Sp_obs.Trace.t ->
-  ?timeseries:Sp_obs.Timeseries.t ->
-  ?ts_extra:(unit -> (string * float) list) ->
-  ?snapshot_dir:string ->
-  ?aux:aux ->
-  ?faults:Sp_util.Faults.t ->
-  snapshot:Sp_obs.Json.t ->
-  jobs:int ->
-  vm_for:(int -> Vm.t) ->
-  strategy_for:(int -> Strategy.t) ->
-  config ->
-  (report, string) result
-(** Continue a campaign from a barrier snapshot (parsed from a file
-    written under [run_parallel ~snapshot_dir]; see {!Snapshot.read}).
-    [config] and [jobs] must match the snapshot's recorded launch
-    parameters — seed, jobs, duration, snapshot grid, repro and target
-    settings are validated and any mismatch is an [Error] (the
-    [seed_corpus] is not consulted: each shard's unexecuted seed slice is
-    part of the snapshot). The resumed run replays the remaining barriers
-    from restored state, so its report is bit-for-bit identical
-    ({!report_json}) to the uninterrupted run's — for stateless
-    strategies (syzkaller) unconditionally, and for the snowplow
-    strategy when the same [aux] hook that wrote the snapshot's
-    inference/funnel/prediction caches is supplied to restore them.
-    Resuming from a final snapshot (one whose campaign had already
-    stopped) reassembles the report without fuzzing further. *)
+    [aux_restore] is called once by {!create_instance} [~restore] with
+    the snapshot's [aux] field (when it is not [Null]). Campaigns without
+    an [aux] write [Null] and ignore the field on restore. *)
 
 (** {2 Campaign instances}
 
-    The parallel executor, opened up: an [instance] is one campaign's
-    merged global state plus its shard array, stepped one barrier slice
-    at a time against a {!Sp_util.Pool} the {e caller} owns.
-    [run_parallel] is [create_instance] + step-until-stopped over a
-    private pool; the multi-tenant {!Scheduler} interleaves slices of
-    many instances over one shared pool. Because every slice is a pure
-    function of the instance's barrier-frozen state and the merge runs
-    on the calling domain in shard order, an instance's report is
-    bit-for-bit independent of {e when} its slices run relative to other
-    instances' — the determinism guarantee extends from (seed, jobs) to
+    The one executor: an [instance] is one campaign's merged global state
+    plus its shard array — one shard per job, [jobs = 1] included —
+    stepped one barrier slice at a time against a {!Sp_util.Pool}.
+    {!run} steps an instance to completion over a private pool; the
+    multi-tenant {!Scheduler} interleaves slices of many instances over
+    one shared pool. Shards fuzz independently between snapshot barriers
+    (every [snapshot_every] virtual seconds); at each barrier the calling
+    domain folds coverage, corpus admissions (re-judged for novelty) and
+    crashes into the global state {e in shard order} (see {!Shard}).
+    Every slice is a pure function of the instance's barrier-frozen state
+    and its shards' RNG streams, so a report is bit-for-bit reproducible
+    given [(config.seed, jobs)] and independent of {e when} its slices
+    run relative to other instances' — the guarantee extends to
     (seed, jobs, schedule). *)
 
 type instance
@@ -185,13 +103,42 @@ val create_instance :
   strategy_for:(int -> Strategy.t) ->
   config ->
   instance
-(** Build the shards and merged global state (optionally from a
-    [restore] snapshot — validate it with {!validate_snapshot} first;
-    malformed input raises [Sp_obs.Json.Decode.Error]). [pid_base]
-    (default 0) offsets the instance's trace lanes — the main lane is
-    pid [pid_base], shard [s] is pid [pid_base + 1 + s] — so a scheduler
-    can give every tenant a disjoint pid range; [label] prefixes the
-    lane names.
+(** Build [jobs] shards and the merged global state. Shard [s] owns the
+    VM and strategy built by [vm_for s]/[strategy_for s] and a named
+    split of the campaign RNG; seed tests are dealt round-robin. Raises
+    [Invalid_argument] when [jobs < 1] or [snapshot_every <= 0].
+
+    [on_barrier] runs on the instance's own domain after each merge — the
+    hook the snowplow layer uses to flush batched inference requests.
+
+    With [snapshot_dir], the merged campaign state is persisted after
+    every barrier as [snapshot_dir/snapshot-NNNNNN.json] (written
+    atomically; a kill mid-write leaves the previous barrier's file
+    intact). [restore] continues a campaign from one of those documents
+    (see {!Snapshot.read}): it is first checked with {!validate_snapshot}
+    against [jobs] and [config] — seed, jobs, duration, snapshot grid,
+    repro and target settings must match; the [seed_corpus] is not
+    consulted, since each shard's unexecuted seed slice is part of the
+    snapshot — and a mismatch or malformed document raises
+    [Sp_obs.Json.Decode.Error] before any VM or strategy is built. The
+    restored instance replays the remaining barriers, so its report is
+    byte-identical ({!report_json}) to the uninterrupted run's — for
+    stateless strategies (syzkaller) unconditionally, and for the
+    snowplow strategy when the same [aux] hook that wrote the snapshot is
+    supplied to restore it. An instance restored from a final snapshot
+    is already stopped: {!run} reassembles the report without fuzzing.
+
+    Telemetry: with [trace], the main lane is pid [pid_base] (default 0;
+    [campaign.snapshot] instants, an [edges] counter, [campaign.barrier]
+    / [campaign.merge] spans) and shard [s] is pid [pid_base + 1 + s]
+    ([shard.epoch] spans, [vm.crash_restart] instants), so a scheduler
+    can give every tenant a disjoint pid range; [label] prefixes the lane
+    names. With [timeseries], one row is appended per snapshot-grid point
+    carrying [blocks], [edges], [execs], [execs_per_s], [corpus] and
+    [crashes] plus whatever [ts_extra ()] returns, sampled from merged
+    state on the instance's domain — bit-for-bit reproducible given
+    [(config.seed, jobs)]. The trace carries wall-clock timestamps and
+    is {e not} part of that determinism contract.
 
     [faults] (default {!Sp_util.Faults.disabled}) arms this instance's
     injection sites, both prefixed with [label ^ "/"] when a label is
@@ -225,21 +172,25 @@ val complete_slice : instance -> slice -> unit
     escapes), then the first failing shard's exception re-raises here
     with its original backtrace. *)
 
-val step_instance : instance -> pool:Sp_util.Pool.t -> ?max_execs:int -> unit -> unit
-(** [begin_slice] + [complete_slice]. *)
-
 val finish_instance : instance -> report
 (** Close the series grid and assemble the report (merging per-shard
     metrics). Call once, after the instance stopped — or early, to
     report on a budget-exhausted tenant as of its last completed
     barrier. *)
 
+val run : instance -> report
+(** Step the instance to completion over a private pool of one worker
+    per job, then {!finish_instance}. Pool worker [i] traces into the
+    instance's [trace] as pid [1001 + i] ([pool.task] spans, [pool.steal]
+    instants), and the instance's [faults] plan also arms the pool's
+    [pool.task] site. The report's registry carries the [campaign.*]
+    loop counters and histograms, the [vm.*] metrics (both merged from
+    the shards in shard order) and the pool's [pool.*] metrics. *)
+
 val instance_stopped : instance -> bool
 
 val instance_barrier : instance -> int
-(** Completed barriers (monotone; restored by {!resume} snapshots). *)
-
-val instance_jobs : instance -> int
+(** Completed barriers (monotone; restored from snapshots). *)
 
 val instance_executions : instance -> int
 (** Total VM executions across the instance's shards so far. *)
@@ -251,8 +202,8 @@ val instance_next_time : instance -> float
 val validate_snapshot : snapshot:Sp_obs.Json.t -> jobs:int -> config -> unit
 (** Check a snapshot document's format marker, version and config echo
     against the launch parameters. Raises [Sp_obs.Json.Decode.Error]
-    (with a human-readable message) on any mismatch; {!resume} calls
-    this for you. *)
+    (with a human-readable message) on any mismatch; {!create_instance}
+    calls this on its [restore] document. *)
 
 val report_json : report -> Sp_obs.Json.t
 (** The deterministic portion of a report (everything except [metrics],

@@ -324,11 +324,6 @@ let run ?workers ?(trace = Trace.disabled) ?timeseries ?max_slices
       let seats =
         List.mapi
           (fun i t ->
-            (match t.t_restore with
-            | Some snap ->
-              Campaign.validate_snapshot ~snapshot:snap ~jobs:t.t_jobs
-                t.t_config
-            | None -> ());
             let inst = build_instance ~label:t.t_name t i t.t_restore in
             {
               st_tenant = t;
@@ -360,10 +355,7 @@ let run ?workers ?(trace = Trace.disabled) ?timeseries ?max_slices
           match t.t_snapshot_dir with
           | Some dir -> (
             match Snapshot.latest_valid ~events ~dir () with
-            | Some (_, _, doc) ->
-              Campaign.validate_snapshot ~snapshot:doc ~jobs:t.t_jobs
-                t.t_config;
-              Some doc
+            | Some (_, _, doc) -> Some doc
             | None -> t.t_restore)
           | None -> t.t_restore
         in

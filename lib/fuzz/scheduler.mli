@@ -14,11 +14,9 @@
     state and merges on the scheduling domain in shard order, so its
     {!Campaign.report_json} is byte-identical to the same campaign run
     solo with the same (seed, jobs) — the (seed, jobs) guarantee extends
-    to (seed, jobs, schedule). "Solo" means {!Campaign.run_parallel} on
-    the barrier-sliced instance path, the one it always takes except the
-    jobs = 1, no-snapshot case, where it delegates to the sequential
-    executor (a different instruction stream). The schedule itself is
-    also deterministic: admission is a pure function of tenant state,
+    to (seed, jobs, schedule), where "solo" means {!Campaign.run} on an
+    instance built from the same arguments. The schedule itself is also
+    deterministic: admission is a pure function of tenant state,
     never of wall-clock timing.
 
     {b Fairness.} Stride scheduling over virtual time: a tenant's pass is
@@ -71,8 +69,7 @@ val tenant :
 (** [weight] (default 1.0) must be finite and positive; [exec_budget]
     (default unlimited) must be >= 0; [jobs] >= 1; [name] non-empty and
     unique within a {!run}. [snapshot_dir]/[restore]/[aux]/[on_barrier]
-    have {!Campaign.run_parallel}/{!Campaign.resume} semantics, per
-    tenant. Raises [Invalid_argument] on a bad parameter. *)
+    have {!Campaign.create_instance} semantics, per tenant. Raises [Invalid_argument] on a bad parameter. *)
 
 type failure = {
   fl_slice : int;

@@ -71,8 +71,9 @@ type epoch = {
   ep_crashes : crash_event list;
       (** first occurrence per crash description per shard, in discovery
           order; cross-shard dedup happens in the merge's triage *)
-  ep_blocks : Sp_util.Bitset.t;  (** all block coverage observed this epoch *)
-  ep_edges : Sp_util.Bitset.t;
+  ep_coverage : Sp_coverage.Accum.t;
+      (** the epoch's private accumulator: the barrier-frozen global
+          coverage plus everything observed this epoch *)
   ep_origin : (string * (int * int)) list;
       (** per proposal origin: executions, shard-locally-new edges *)
   ep_target_hit_at : float option;

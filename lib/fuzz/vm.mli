@@ -39,8 +39,8 @@ val set_metrics : t -> Sp_util.Metrics.t -> unit
     [vm.exec_virtual_s] (virtual cost per execution) and
     [vm.exec_wall_s] (wall-clock time per execution — wall, not CPU,
     because one VM serves one shard domain and [Sys.time] is process-wide
-    under [Campaign.run_parallel]). No metrics are recorded before a
-    registry is attached — [Campaign.run] attaches its own. *)
+    while several shards run). No metrics are recorded before a registry
+    is attached — each campaign shard attaches its own. *)
 
 val set_tracer : t -> Sp_obs.Tracer.t -> unit
 (** Attach the owning shard's tracer; the VM then records a

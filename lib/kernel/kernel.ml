@@ -7,8 +7,8 @@ type t = {
   config : Build.config;
   built : Build.built;
   code : Exec.code;
-  (* Per-domain default scratch: [t] is shared across shard domains in
-     [Campaign.run_parallel], so the fallback scratch for plain [execute]
+  (* Per-domain default scratch: [t] is shared across a campaign's shard
+     domains, so the fallback scratch for plain [execute]
      calls must be domain-local, never a field mutated from two domains. *)
   default_scratch : Exec.scratch Domain.DLS.key;
 }

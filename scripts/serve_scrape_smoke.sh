@@ -24,9 +24,11 @@ plan_args=""
 if [ -n "$fault_plan" ]; then
   plan_args="--fault-plan $fault_plan"
 fi
-tmp="${TMPDIR:-/tmp}/snowplow-ci-scrape"
-rm -rf "$tmp"
-mkdir -p "$tmp"
+# A private directory per invocation: several copies of this script may
+# run at once (one per roster), and a shared path would let one wipe
+# another's files.
+tmp="$(mktemp -d "${TMPDIR:-/tmp}/snowplow-ci-scrape.XXXXXX")"
+trap 'rm -rf "$tmp"' EXIT
 
 echo "== armed run (exporter + event log) =="
 # shellcheck disable=SC2086

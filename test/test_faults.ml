@@ -204,14 +204,12 @@ let with_tmp_dir f =
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () -> f dir)
 
-(* The solo oracle: same campaign run alone under a snapshot dir, so
-   run_parallel takes the barrier-sliced instance path even at jobs = 1
-   (see test_sched.ml). *)
+(* The solo oracle: the same campaign run alone (see test_sched.ml). *)
 let solo ?duration ~seed ~jobs () =
-  with_tmp_dir (fun dir ->
-      report_bytes
-        (Campaign.run_parallel ~snapshot_dir:dir ~jobs
-           ~vm_for:(vm_for_seed seed) ~strategy_for (cfg_for ?duration seed)))
+  report_bytes
+    (Campaign.run
+       (Campaign.create_instance ~jobs ~vm_for:(vm_for_seed seed) ~strategy_for
+          (cfg_for ?duration seed)))
 
 let tenant ?duration ?weight ?snapshot_dir ?restore ~name ~seed ~jobs () =
   Scheduler.tenant ?weight ?snapshot_dir ?restore ~name ~jobs
@@ -233,8 +231,9 @@ let test_latest_valid_skips_truncated () =
   with_tmp_dir (fun dir ->
       let full =
         report_bytes
-          (Campaign.run_parallel ~snapshot_dir:dir ~jobs:2
-             ~vm_for:(vm_for_seed 7) ~strategy_for (cfg_for 7))
+          (Campaign.run
+             (Campaign.create_instance ~snapshot_dir:dir ~jobs:2
+                ~vm_for:(vm_for_seed 7) ~strategy_for (cfg_for 7)))
       in
       (* 900 s at a 300 s grid: barriers 1..3, so snapshot-000003 is the
          newest. Truncate it mid-document — the torn file a kill during a
@@ -252,8 +251,10 @@ let test_latest_valid_skips_truncated () =
         (* The fallback snapshot is fully usable: resuming from it
            reproduces the uninterrupted run byte-for-byte. *)
         (match
-           Campaign.resume ~snapshot:doc ~jobs:2 ~vm_for:(vm_for_seed 7)
-             ~strategy_for (cfg_for 7)
+           Json.Decode.run (fun () ->
+               Campaign.run
+                 (Campaign.create_instance ~restore:doc ~jobs:2
+                    ~vm_for:(vm_for_seed 7) ~strategy_for (cfg_for 7)))
          with
         | Error e -> Alcotest.failf "resume from fallback failed: %s" e
         | Ok r ->

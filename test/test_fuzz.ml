@@ -211,16 +211,24 @@ let short_cfg =
   { Campaign.default_config with
     seed_corpus = seeds; seed = 7; duration = 900.0; snapshot_every = 300.0 }
 
+(* A one-job campaign: the one-shard instance, driven to completion. *)
+let run_campaign vm strategy cfg =
+  Campaign.run
+    (Campaign.create_instance ~jobs:1
+       ~vm_for:(fun _ -> vm)
+       ~strategy_for:(fun _ -> strategy)
+       cfg)
+
 let test_campaign_runs () =
   let vm = Vm.create ~seed:1 kernel in
-  let r = Campaign.run vm (Strategy.syzkaller db) short_cfg in
+  let r = run_campaign vm (Strategy.syzkaller db) short_cfg in
   Alcotest.(check bool) "made progress" true (r.Campaign.final_edges > 0);
   Alcotest.(check bool) "has corpus" true (r.Campaign.corpus_size > 0);
   Alcotest.(check bool) "executions happened" true (r.Campaign.executions > 100)
 
 let test_campaign_series_monotone () =
   let vm = Vm.create ~seed:1 kernel in
-  let r = Campaign.run vm (Strategy.syzkaller db) short_cfg in
+  let r = run_campaign vm (Strategy.syzkaller db) short_cfg in
   let rec check_mono last = function
     | [] -> ()
     | (s : Campaign.snapshot) :: rest ->
@@ -239,11 +247,11 @@ let test_campaign_series_monotone () =
 let test_campaign_deterministic () =
   let run () =
     let vm = Vm.create ~seed:1 kernel in
-    (Campaign.run vm (Strategy.syzkaller db) short_cfg).Campaign.final_edges
+    (run_campaign vm (Strategy.syzkaller db) short_cfg).Campaign.final_edges
   in
   Alcotest.(check int) "same seed, same result" (run ()) (run ())
 
-(* Golden regression: these exact values pin the sequential executor's
+(* Golden regression: these exact values pin the one-shard executor's
    scheduling. Accidental nondeterminism — e.g. hashtable iteration order
    leaking into base selection or proposal order — shows up here as a
    value change even when coverage "looks fine". An intentional change to
@@ -251,16 +259,16 @@ let test_campaign_deterministic () =
    generator legitimately moves them: re-pin after understanding why. *)
 let test_campaign_golden () =
   let vm = Vm.create ~seed:5 kernel in
-  let r = Campaign.run vm (Strategy.syzkaller db) short_cfg in
-  Alcotest.(check int) "final_blocks" 339 r.Campaign.final_blocks;
-  Alcotest.(check int) "final_edges" 392 r.Campaign.final_edges;
-  Alcotest.(check int) "executions" 3408 r.Campaign.executions;
-  Alcotest.(check int) "corpus_size" 62 r.Campaign.corpus_size;
-  Alcotest.(check int) "crashes" 5 (List.length r.Campaign.crashes)
+  let r = run_campaign vm (Strategy.syzkaller db) short_cfg in
+  Alcotest.(check int) "final_blocks" 325 r.Campaign.final_blocks;
+  Alcotest.(check int) "final_edges" 375 r.Campaign.final_edges;
+  Alcotest.(check int) "executions" 3447 r.Campaign.executions;
+  Alcotest.(check int) "corpus_size" 59 r.Campaign.corpus_size;
+  Alcotest.(check int) "crashes" 4 (List.length r.Campaign.crashes)
 
 let test_campaign_coverage_helpers () =
   let vm = Vm.create ~seed:1 kernel in
-  let r = Campaign.run vm (Strategy.syzkaller db) short_cfg in
+  let r = run_campaign vm (Strategy.syzkaller db) short_cfg in
   Alcotest.(check int) "coverage_at end = final" r.Campaign.final_edges
     (Campaign.coverage_at r short_cfg.Campaign.duration);
   (match Campaign.time_to_edges r 1 with
@@ -274,7 +282,7 @@ let test_campaign_directed_easy_target () =
   let cfg = { short_cfg with target = Some target; duration = 7200.0 } in
   let vm = Vm.create ~seed:1 kernel in
   let r =
-    Campaign.run vm (Strategy.syzdirect ~target_sys:(Some 0) db) cfg
+    run_campaign vm (Strategy.syzdirect ~target_sys:(Some 0) db) cfg
   in
   Alcotest.(check bool) "easy target reached" true (r.Campaign.target_hit_at <> None);
   (match r.Campaign.target_hit_at with
@@ -283,7 +291,7 @@ let test_campaign_directed_easy_target () =
 
 let test_campaign_metrics_recorded () =
   let vm = Vm.create ~seed:1 kernel in
-  let r = Campaign.run vm (Strategy.syzkaller db) short_cfg in
+  let r = run_campaign vm (Strategy.syzkaller db) short_cfg in
   let m = r.Campaign.metrics in
   let module Metrics = Sp_util.Metrics in
   Alcotest.(check bool) "iterations counted" true
@@ -308,7 +316,7 @@ let test_campaign_metrics_recorded () =
 
 let test_origin_stats_accounted () =
   let vm = Vm.create ~seed:1 kernel in
-  let r = Campaign.run vm (Strategy.syzkaller db) short_cfg in
+  let r = run_campaign vm (Strategy.syzkaller db) short_cfg in
   let total = List.fold_left (fun acc (_, (e, _)) -> acc + e) 0 r.Campaign.origin_stats in
   Alcotest.(check int) "origin stats account for every execution"
     r.Campaign.executions total

@@ -62,6 +62,14 @@ let campaign_cfg p seed duration =
   let seeds = Gen.corpus (Rng.create 2024) db ~size:40 in
   { Campaign.default_config with seed_corpus = seeds; seed; duration }
 
+(* A one-job campaign: the one-shard instance, driven to completion. *)
+let run_campaign vm strategy cfg =
+  Campaign.run
+    (Campaign.create_instance ~jobs:1
+       ~vm_for:(fun _ -> vm)
+       ~strategy_for:(fun _ -> strategy)
+       cfg)
+
 let test_all_four_fuzzers_run () =
   let p = Lazy.force pipeline in
   let kernel = p.Pipeline.kernel in
@@ -78,7 +86,7 @@ let test_all_four_fuzzers_run () =
   List.iter
     (fun strategy ->
       let vm = Sp_fuzz.Vm.create ~seed:4 kernel in
-      let r = Campaign.run vm strategy cfg in
+      let r = run_campaign vm strategy cfg in
       Alcotest.(check bool)
         (strategy.Sp_fuzz.Strategy.name ^ " makes progress")
         true
@@ -93,7 +101,7 @@ let test_snowplow_guided_mutations_flow () =
   let inference = Pipeline.inference_for p kernel in
   let cfg = campaign_cfg p 5 3600.0 in
   let vm = Sp_fuzz.Vm.create ~seed:6 kernel in
-  let r = Campaign.run vm (Snowplow.Hybrid.strategy ~inference kernel) cfg in
+  let r = run_campaign vm (Snowplow.Hybrid.strategy ~inference kernel) cfg in
   let pmm_execs =
     match List.assoc_opt "pmm-arg" r.Campaign.origin_stats with
     | Some (execs, _) -> execs
@@ -119,7 +127,7 @@ let test_crash_campaign_with_triage () =
       seed_corpus = seeds; seed = 8; duration = 14_400.0; attempt_repro = true }
   in
   let vm = Sp_fuzz.Vm.create ~seed:9 kernel in
-  let r = Campaign.run vm (Sp_fuzz.Strategy.syzkaller db) cfg in
+  let r = run_campaign vm (Sp_fuzz.Strategy.syzkaller db) cfg in
   Alcotest.(check bool) "found crashes" true (r.Campaign.crashes <> []);
   (* dedup: descriptions unique *)
   let descs = List.map (fun (f : Sp_fuzz.Triage.found) -> f.Sp_fuzz.Triage.description) r.Campaign.crashes in

@@ -200,11 +200,12 @@ let short_cfg =
   { Campaign.default_config with
     seed_corpus = seeds; seed = 7; duration = 900.0; snapshot_every = 300.0 }
 
-let run_par ?(cfg = short_cfg) jobs =
-  Campaign.run_parallel ~jobs
-    ~vm_for:(fun s -> Vm.create ~seed:(100 + s) kernel)
-    ~strategy_for:(fun _ -> Strategy.syzkaller db)
-    cfg
+let run_par ?(cfg = short_cfg) ?on_barrier jobs =
+  Campaign.run
+    (Campaign.create_instance ?on_barrier ~jobs
+       ~vm_for:(fun s -> Vm.create ~seed:(100 + s) kernel)
+       ~strategy_for:(fun _ -> Strategy.syzkaller db)
+       cfg)
 
 let snapshot_tuple (s : Campaign.snapshot) =
   (s.Campaign.s_time, s.Campaign.s_blocks, s.Campaign.s_edges,
@@ -227,13 +228,6 @@ let test_parallel_reproducible () =
   Alcotest.(check bool) "did real work" true (a.Campaign.executions > 0);
   Alcotest.(check bool) "found coverage" true (a.Campaign.final_edges > 0)
 
-let test_parallel_jobs1_matches_sequential () =
-  let vm = Vm.create ~seed:100 kernel in
-  let seq = Campaign.run vm (Strategy.syzkaller db) short_cfg in
-  let par = run_par 1 in
-  Alcotest.(check bool) "jobs=1 equals the sequential executor" true
-    (report_fingerprint seq = report_fingerprint par)
-
 let test_parallel_jobs_change_results_deterministically () =
   (* Different shard counts give different (but each reproducible)
      schedules; and more workers must not lose the ability to fuzz. *)
@@ -246,21 +240,29 @@ let test_parallel_jobs_change_results_deterministically () =
   Alcotest.(check bool) "jobs=4 reproducible too" true
     (report_fingerprint four = report_fingerprint four')
 
+(* jobs = 1 is the one-shard instance, so it has the same barrier
+   structure as any other width: the hook fires once per barrier. *)
 let test_parallel_series_shape () =
-  let r = run_par 3 in
-  let times = List.map (fun (s : Campaign.snapshot) -> s.Campaign.s_time) r.Campaign.series in
-  check (Alcotest.list (Alcotest.float 1e-6)) "full snapshot grid"
-    [ 300.0; 600.0; 900.0 ] times;
-  (* executions accumulate monotonically across barriers *)
-  let execs = List.map (fun (s : Campaign.snapshot) -> s.Campaign.s_execs) r.Campaign.series in
-  Alcotest.(check bool) "monotone executions" true
-    (List.sort compare execs = execs);
-  Alcotest.(check bool) "pool metrics merged into the report" true
-    (Metrics.counter r.Campaign.metrics "pool.tasks" > 0)
+  List.iter
+    (fun jobs ->
+      let barriers = ref 0 in
+      let r = run_par ~on_barrier:(fun ~now:_ -> incr barriers) jobs in
+      let label what = Printf.sprintf "jobs=%d: %s" jobs what in
+      let times = List.map (fun (s : Campaign.snapshot) -> s.Campaign.s_time) r.Campaign.series in
+      check (Alcotest.list (Alcotest.float 1e-6)) (label "full snapshot grid")
+        [ 300.0; 600.0; 900.0 ] times;
+      check Alcotest.int (label "on_barrier fires once per barrier") 3 !barriers;
+      (* executions accumulate monotonically across barriers *)
+      let execs = List.map (fun (s : Campaign.snapshot) -> s.Campaign.s_execs) r.Campaign.series in
+      Alcotest.(check bool) (label "monotone executions") true
+        (List.sort compare execs = execs);
+      Alcotest.(check bool) (label "pool metrics merged into the report") true
+        (Metrics.counter r.Campaign.metrics "pool.tasks" > 0))
+    [ 1; 3 ]
 
 let test_parallel_validation () =
   Alcotest.check_raises "jobs must be positive"
-    (Invalid_argument "Campaign.run_parallel: jobs must be >= 1") (fun () ->
+    (Invalid_argument "Campaign.create_instance: jobs must be >= 1") (fun () ->
       ignore (run_par 0))
 
 let test_parallel_telemetry_deterministic () =
@@ -272,10 +274,11 @@ let test_parallel_telemetry_deterministic () =
     let trace = Sp_obs.Trace.create ~enabled:true () in
     let ts = Sp_obs.Timeseries.create () in
     let r =
-      Campaign.run_parallel ~jobs:3 ~trace ~timeseries:ts
-        ~vm_for:(fun s -> Vm.create ~seed:(100 + s) kernel)
-        ~strategy_for:(fun _ -> Strategy.syzkaller db)
-        short_cfg
+      Campaign.run
+        (Campaign.create_instance ~jobs:3 ~trace ~timeseries:ts
+           ~vm_for:(fun s -> Vm.create ~seed:(100 + s) kernel)
+           ~strategy_for:(fun _ -> Strategy.syzkaller db)
+           short_cfg)
     in
     (r, trace, Sp_obs.Timeseries.to_jsonl ts)
   in
@@ -437,8 +440,6 @@ let () =
         [
           Alcotest.test_case "same (seed, jobs) => identical report" `Quick
             test_parallel_reproducible;
-          Alcotest.test_case "jobs=1 matches sequential" `Quick
-            test_parallel_jobs1_matches_sequential;
           Alcotest.test_case "width scaling stays deterministic" `Quick
             test_parallel_jobs_change_results_deterministically;
           Alcotest.test_case "series shape and pool metrics" `Quick

@@ -45,28 +45,14 @@ let strategy_for _ = Strategy.syzkaller db
 
 let report_bytes r = Json.to_string (Campaign.report_json r)
 
-(* The solo oracle runs under a snapshot dir so that [run_parallel] takes
-   the barrier-sliced instance path even at jobs = 1 (without one it
-   delegates to the sequential executor, a different instruction stream).
-   The scheduler always runs the instance path, so that is the contract:
-   scheduled == solo-with-snapshots, for every (seed, jobs). *)
-let with_tmp_dir f =
-  let dir = Filename.temp_file "sched-solo" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Sys.rmdir dir with Sys_error _ -> ())
-    (fun () -> f dir)
-
+(* The solo oracle: the same campaign run alone, its instance driven by
+   [Campaign.run] over a private pool. The contract is scheduled == solo,
+   for every (seed, jobs). *)
 let solo ?duration ~seed ~jobs () =
-  with_tmp_dir (fun dir ->
-      report_bytes
-        (Campaign.run_parallel ~snapshot_dir:dir ~jobs
-           ~vm_for:(vm_for_seed seed) ~strategy_for (cfg_for ?duration seed)))
+  report_bytes
+    (Campaign.run
+       (Campaign.create_instance ~jobs ~vm_for:(vm_for_seed seed) ~strategy_for
+          (cfg_for ?duration seed)))
 
 let tenant ?duration ?weight ?exec_budget ?snapshot_dir ?restore ~name ~seed
     ~jobs () =

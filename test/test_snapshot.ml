@@ -211,6 +211,20 @@ let strategy_for _ = Strategy.syzkaller db
 
 let report_bytes r = Json.to_string (Campaign.report_json r)
 
+(* Build and run one campaign; a rejected [restore] document is an
+   [Error], as the CLI reports it. *)
+let run_campaign ?snapshot_dir ?restore ?on_barrier ?aux ?(jobs = 2)
+    ?(strategy_for = strategy_for) cfg =
+  Json.Decode.run (fun () ->
+      Campaign.run
+        (Campaign.create_instance ?snapshot_dir ?restore ?on_barrier ?aux ~jobs
+           ~vm_for ~strategy_for cfg))
+
+let run_ok ?snapshot_dir cfg =
+  match run_campaign ?snapshot_dir cfg with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "campaign failed: %s" e
+
 let snap_dir = "snap-resume"
 
 (* One uninterrupted jobs=2 run, snapshotting at every barrier — the
@@ -218,17 +232,12 @@ let snap_dir = "snap-resume"
 let baseline =
   lazy
     (with_dir snap_dir (fun dir ->
-         let r =
-           Campaign.run_parallel ~snapshot_dir:dir ~jobs:2 ~vm_for ~strategy_for
-             cfg
-         in
-         report_bytes r))
+         report_bytes (run_ok ~snapshot_dir:dir cfg)))
 
 let resume_from ?(cfg = cfg) ?(jobs = 2) barrier =
   match Snapshot.read (Snapshot.path ~dir:snap_dir ~barrier) with
   | Error e -> Alcotest.failf "snapshot %d unreadable: %s" barrier e
-  | Ok snapshot ->
-    Campaign.resume ~snapshot ~jobs ~vm_for ~strategy_for cfg
+  | Ok snapshot -> run_campaign ~restore:snapshot ~jobs cfg
 
 let test_snapshots_written_per_barrier () =
   let oracle = Lazy.force baseline in
@@ -245,11 +254,8 @@ let test_snapshots_written_per_barrier () =
 
 let test_snapshotting_does_not_perturb () =
   let oracle = Lazy.force baseline in
-  let plain =
-    Campaign.run_parallel ~jobs:2 ~vm_for ~strategy_for cfg
-  in
   check Alcotest.string "snapshot_dir leaves the campaign unchanged" oracle
-    (report_bytes plain)
+    (report_bytes (run_ok cfg))
 
 let test_resume_matches_uninterrupted () =
   let oracle = Lazy.force baseline in
@@ -287,12 +293,11 @@ let test_resume_rejects_config_mismatch () =
 
 let test_resume_rejects_garbage () =
   (match
-     Campaign.resume ~snapshot:(Json.Obj [ ("format", Json.Str "bogus") ])
-       ~jobs:2 ~vm_for ~strategy_for cfg
+     run_campaign ~restore:(Json.Obj [ ("format", Json.Str "bogus") ]) cfg
    with
   | Ok _ -> Alcotest.fail "wrong format accepted"
   | Error _ -> ());
-  match Campaign.resume ~snapshot:Json.Null ~jobs:2 ~vm_for ~strategy_for cfg with
+  match run_campaign ~restore:Json.Null cfg with
   | Ok _ -> Alcotest.fail "Null snapshot accepted"
   | Error _ -> ()
 
@@ -398,14 +403,8 @@ let snowplow_run ?snapshot_dir ?restore () =
       kernel
   in
   let on_barrier ~now = ignore (Snowplow.Funnel.flush funnel ~now) in
-  match restore with
-  | None ->
-    Ok
-      (Campaign.run_parallel ?snapshot_dir ~on_barrier ~aux ~jobs:aux_jobs
-         ~vm_for ~strategy_for aux_cfg)
-  | Some snapshot ->
-    Campaign.resume ~snapshot ~on_barrier ~aux ~jobs:aux_jobs ~vm_for
-      ~strategy_for aux_cfg
+  run_campaign ?snapshot_dir ?restore ~on_barrier ~aux ~jobs:aux_jobs
+    ~strategy_for aux_cfg
 
 let test_snowplow_resume_matches_uninterrupted () =
   let dir = "snap-aux" in
