@@ -19,33 +19,14 @@ let section title =
 let shared : Snowplow.Pipeline.t option ref = ref None
 
 (* Quick mode (SNOWPLOW_QUICK, used by @ci) shrinks PMM training to the
-   integration-test scale — same shrink the CLI's serve command applies.
-   The model is bad; the plumbing and the emitted key sets are the
-   same. *)
-let quick_pipeline_config =
-  {
-    Snowplow.Pipeline.default_config with
-    kernel_seed = 19;
-    gen_bases = 40;
-    corpus_bases = 40;
-    warmup_duration = 900.0;
-    dataset =
-      { Snowplow.Dataset.default_config with mutations_per_base = 200 };
-    encoder = { Snowplow.Encoder.default_config with steps = 600 };
-    trainer =
-      { Snowplow.Trainer.default_config with epochs = 4; log_every = 0 };
-  }
-
+   integration-test scale, as the CLI does. The model is bad; the
+   plumbing and the emitted key sets are the same. *)
 let pipeline () =
   match !shared with
   | Some p -> p
   | None ->
     log "training PMM (dataset collection + encoder pretraining + GNN)...";
-    let config =
-      if Sys.getenv_opt "SNOWPLOW_QUICK" = None then None
-      else Some quick_pipeline_config
-    in
-    let p = Snowplow.Pipeline.train ?config () in
+    let p = Snowplow.Pipeline.train ~config:(Snowplow.Pipeline.env_config ()) () in
     log "PMM trained: %d train / %d valid / %d eval examples, %d parameters"
       (Array.length p.Snowplow.Pipeline.split.Snowplow.Dataset.train)
       (Array.length p.Snowplow.Pipeline.split.Snowplow.Dataset.valid)
@@ -69,7 +50,7 @@ let emit_timeseries name ts =
   | Some dir, Some ts when Sp_obs.Timeseries.length ts > 0 ->
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let path = Filename.concat dir (name ^ ".jsonl") in
-    Sp_obs.Io.write_atomic path (Sp_obs.Timeseries.to_jsonl ts);
+    Sp_obs.Timeseries.write_file ts path;
     log "timeseries artifact: %s" path
   | _ -> ()
 
@@ -131,13 +112,6 @@ let seed_corpus db ~seed ~size =
   Sp_syzlang.Gen.corpus (Sp_util.Rng.create seed) db ~size
 
 let hours s = s /. 3600.0
-
-let pct a b = 100.0 *. ((float_of_int a /. float_of_int (max 1 b)) -. 1.0)
-
-let fmt_time s =
-  if s < 60.0 then Printf.sprintf "%.0f" s
-  else if s < 7200.0 then Printf.sprintf "%.0f" s
-  else Printf.sprintf "%.0f" s
 
 (* Mean coverage series across repeated runs, resampled on the snapshot
    grid, with min/max band. *)

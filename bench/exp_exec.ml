@@ -12,7 +12,7 @@
      it while a real executor regression still fails. *)
 
 module Kernel = Sp_kernel.Kernel
-module Reference = Sp_kernel.Reference
+module Reference = Oracle.Kernel_reference
 module Build = Sp_kernel.Build
 module Rng = Sp_util.Rng
 module Bitset = Sp_util.Bitset

@@ -1,6 +1,6 @@
 (* E13: the Bigarray tensor core — batched/striped training throughput
    and steady-state allocation, against the boxed float-array reference
-   core (Sp_ml.Reference, the pre-optimization implementation kept as a
+   core (Oracle.Ml_reference, the pre-optimization implementation kept as a
    differential oracle).
 
    The controlled comparison is a 2-layer MLP trained with MSE + Adam on
@@ -24,7 +24,7 @@ module Rng = Sp_util.Rng
 module Pool = Sp_util.Pool
 module Table = Sp_util.Table
 module Tensor = Sp_ml.Tensor
-module Reference = Sp_ml.Reference
+module Reference = Oracle.Ml_reference
 module Dense = Sp_ml.Dense
 
 let quick = Sys.getenv_opt "SNOWPLOW_QUICK" <> None

@@ -28,6 +28,7 @@ module Campaign = Sp_fuzz.Campaign
 module Scheduler = Sp_fuzz.Scheduler
 module Vm = Sp_fuzz.Vm
 module Table = Sp_util.Table
+module Launch = Snowplow.Launch
 
 let quick = Exp_common.quick_mode ()
 
@@ -87,42 +88,31 @@ let timed f =
 let run_back_to_back () =
   timed (fun () ->
       List.init tenants (fun k ->
-          let service = build_service () in
-          let funnel = Snowplow.Funnel.create ~shards:1 service in
-          let strategy_for _ =
-            Snowplow.Hybrid.strategy_with
-              ~endpoint:(Snowplow.Funnel.endpoint funnel ~shard:0)
-              kernel
+          let service =
+            Launch.of_inference ~tenant_jobs:[| 1 |] (build_service ())
+          in
+          let { Launch.strategy_for; on_barrier; _ } =
+            Launch.snowplow_lane service ~tenant:0 kernel
           in
           Campaign.run
-            (Campaign.create_instance ~jobs:1
-               ~on_barrier:(fun ~now ->
-                 ignore (Snowplow.Funnel.flush funnel ~now))
-               ~vm_for:(vm_for k) ~strategy_for (cfg_for k))))
+            (Campaign.create_instance ~jobs:1 ~on_barrier ~vm_for:(vm_for k)
+               ~strategy_for (cfg_for k))))
 
 (* Scheduled arm: one service and one funnel with a lane per tenant,
    every campaign a tenant of one Scheduler.run over one shared pool. *)
 let run_scheduled () =
   timed (fun () ->
-      let service = build_service () in
-      let funnel =
-        Snowplow.Funnel.create_multi ~tenant_shards:(Array.make tenants 1)
-          service
+      let service =
+        Launch.of_inference ~tenant_jobs:(Array.make tenants 1) (build_service ())
       in
       let roster =
         List.init tenants (fun k ->
+            let { Launch.strategy_for; on_barrier; _ } =
+              Launch.snowplow_lane service ~tenant:k kernel
+            in
             Scheduler.tenant
               ~name:(Printf.sprintf "t%d" k)
-              ~jobs:1
-              ~on_barrier:(fun ~now ->
-                ignore (Snowplow.Funnel.flush_tenant funnel ~tenant:k ~now))
-              ~vm_for:(vm_for k)
-              ~strategy_for:(fun _ ->
-                Snowplow.Hybrid.strategy_with
-                  ~endpoint:
-                    (Snowplow.Funnel.endpoint_for funnel ~tenant:k ~shard:0)
-                  kernel)
-              (cfg_for k))
+              ~jobs:1 ~on_barrier ~vm_for:(vm_for k) ~strategy_for (cfg_for k))
       in
       match Scheduler.run ~workers:1 roster with
       | Ok r -> r

@@ -17,6 +17,7 @@ module Prog = Sp_syzlang.Prog
 module Trace = Sp_obs.Trace
 module Timeseries = Sp_obs.Timeseries
 module Trace_check = Sp_obs.Trace_check
+module Launch = Snowplow.Launch
 
 (* ------------------------------------------------------------------ *)
 (* Common arguments                                                    *)
@@ -52,12 +53,10 @@ let kernel_info seed version =
   Printf.printf "  basic blocks : %d\n" (Kernel.num_blocks k);
   Printf.printf "  static edges : %d\n" (Sp_cfg.Cfg.num_edges (Kernel.cfg k));
   Printf.printf "  syscalls     : %d\n" (Sp_syzlang.Spec.count db);
-  Printf.printf "  bugs         : %d (%d known / %d new)\n"
-    (Array.length (Kernel.bugs k))
-    (List.length (List.filter (fun (b : Sp_kernel.Bug.t) -> b.known)
-                    (Array.to_list (Kernel.bugs k))))
-    (List.length (List.filter (fun (b : Sp_kernel.Bug.t) -> not b.known)
-                    (Array.to_list (Kernel.bugs k))));
+  let bugs = Array.to_list (Kernel.bugs k) in
+  let known = List.length (List.filter (fun (b : Sp_kernel.Bug.t) -> b.known) bugs) in
+  Printf.printf "  bugs         : %d (%d known / %d new)\n" (List.length bugs) known
+    (List.length bugs - known);
   print_endline "  interface:";
   List.iter
     (fun spec -> Format.printf "    %a@." Sp_syzlang.Spec.pp spec)
@@ -98,12 +97,7 @@ let run_prog seed version file =
   let db = Kernel.spec_db k in
   let text =
     match file with
-    | Some path ->
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
+    | Some path -> Sp_obs.Io.read_file path
     | None -> In_channel.input_all stdin
   in
   match Sp_syzlang.Parser.program db text with
@@ -133,139 +127,75 @@ let run_cmd =
     Term.(const run_prog $ seed_arg $ version_arg $ file)
 
 (* ------------------------------------------------------------------ *)
+(* Shared by fuzz, serve and train                                     *)
+(* ------------------------------------------------------------------ *)
+
+let fail cmd fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "snowplow %s: %s\n" cmd msg;
+      exit 1)
+    fmt
+
+let trace_for file =
+  if file = None then Trace.disabled else Trace.create ~enabled:true ()
+
+(* The telemetry artifacts fuzz, serve and train write at the end. *)
+let write_telemetry trace trace_file timeseries ts_file =
+  (match trace_file with
+  | Some path ->
+    Trace.write_file trace path;
+    Printf.printf "trace written to %s\n" path
+  | None -> ());
+  match (ts_file, timeseries) with
+  | Some path, Some ts ->
+    Timeseries.write_file ts path;
+    Printf.printf "timeseries written to %s (%d rows)\n" path (Timeseries.length ts)
+  | _ -> ()
+
+let start_service ~pipeline ~tracer ~faults ~events k specs =
+  if List.exists (fun s -> s.Launch.system = `Snowplow) specs then
+    print_endline "training PMM first (this takes a few minutes)...";
+  Launch.start ~pipeline ~tracer ~faults ~events k specs
+
+(* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* All artifact writes go through the atomic writer: the old in-place
-   writer leaked its channel on exception and could leave a torn file. *)
-let write_text_file path data = Sp_obs.Io.write_atomic path data
-
 let fuzz seed version hours run_seed system jobs trace_file ts_file
     snapshot_dir resume_file =
-  if jobs < 1 then begin
-    prerr_endline "snowplow fuzz: -jobs must be >= 1";
-    exit 1
-  end;
-  let k = make_kernel seed version in
-  let db = Kernel.spec_db k in
-  let seeds = Sp_syzlang.Gen.corpus (Sp_util.Rng.create (run_seed lxor 0x5eed)) db ~size:100 in
-  let cfg =
-    {
-      Campaign.default_config with
-      seed_corpus = seeds;
-      seed = run_seed;
-      duration = hours *. 3600.0;
-      snapshot_every = Float.max 600.0 (hours *. 3600.0 /. 12.0);
-      attempt_repro = true;
-    }
-  in
-  let trace =
-    if trace_file = None then Trace.disabled
-    else Trace.create ~enabled:true ()
-  in
-  let timeseries = Option.map (fun _ -> Timeseries.create ()) ts_file in
-  (* Shared with the campaign's own pid-0 handout (Trace.tracer memoizes
-     by pid): the inference/funnel spans land in the main domain's lane,
-     which is also where their calls run. *)
-  let main_tracer = Trace.tracer trace ~pid:0 ~name:"campaign-main" in
-  (* Per-shard VM seeds are a pure function of (run_seed, shard), so a
-     parallel run is reproducible from (seed, jobs) alone. *)
-  let vm_for s = Sp_fuzz.Vm.create ~seed:(run_seed + (7919 * s)) k in
-  (* One launcher for both systems: fresh campaigns start from the
-     config (snapshotting at barriers when --snapshot-dir is given),
-     resumed ones restore from the snapshot file, which the constructor
-     validates against the flags — resuming demands the same
-     seed/hours/jobs/system flags the snapshotted campaign was launched
-     with. *)
-  let launch ?ts_extra ?on_barrier ?aux ~strategy_for () =
-    let create ?restore () =
-      Campaign.create_instance ~trace ?timeseries ?ts_extra ?on_barrier ?aux
-        ?snapshot_dir ?restore ~jobs ~vm_for ~strategy_for cfg
-    in
-    let inst =
-      match resume_file with
-      | None -> create ()
-      | Some file -> (
+  let spec = { Launch.default_spec with system; jobs; hours; run_seed } in
+  Result.iter_error (fail "fuzz" "%s") (Launch.check_spec spec);
+  (* Resuming demands the seed/hours/jobs/system flags the snapshotted
+     campaign was launched with; the launcher checks them. *)
+  let restore =
+    Option.map
+      (fun file ->
         match Sp_fuzz.Snapshot.read file with
-        | Error msg ->
-          Printf.eprintf "snowplow fuzz: cannot read snapshot %s: %s\n" file msg;
-          exit 1
-        | Ok snap -> (
-          match Sp_obs.Json.Decode.run (fun () -> create ~restore:snap ()) with
-          | Ok inst -> inst
-          | Error msg ->
-            Printf.eprintf "snowplow fuzz: cannot resume from %s: %s\n" file
-              msg;
-            exit 1))
-    in
-    Campaign.run inst
+        | Ok snap -> snap
+        | Error msg -> fail "fuzz" "cannot read snapshot %s: %s" file msg)
+      resume_file
   in
-  let name, run_campaign =
-    match system with
-    | `Syzkaller ->
-      ( "Syzkaller",
-        fun () ->
-          launch ~strategy_for:(fun _ -> Sp_fuzz.Strategy.syzkaller db) () )
-    | `Snowplow ->
-      ( "Snowplow",
-        fun () ->
-          print_endline "training PMM first (this takes a few minutes)...";
-          let p = Snowplow.Pipeline.train ~tracer:main_tracer () in
-          let inference =
-            Snowplow.Pipeline.inference_for ~tracer:main_tracer p k
-          in
-          (* Service-side columns for the time-series: all read at the
-             snapshot grid on the main domain from barrier-merged state,
-             so they stay inside the determinism contract. *)
-          let ts_extra () =
-            [
-              ("inference.pending",
-               float_of_int (Snowplow.Inference.pending inference));
-              ("inference.served",
-               float_of_int (Snowplow.Inference.served inference));
-              ("inference.cache_hits",
-               float_of_int (Snowplow.Inference.cache_hits inference));
-              ("inference.cache_size",
-               float_of_int (Snowplow.Inference.cache_size inference));
-            ]
-          in
-          (* One inference service for the whole fleet: shards enqueue
-             into per-shard outboxes and the funnel forwards them as one
-             batch at each snapshot barrier, on the main domain. *)
-          let funnel =
-            Snowplow.Funnel.create ~tracer:main_tracer ~shards:jobs inference
-          in
-          (* Service, funnel lanes and per-shard prediction memos ride in
-             the snapshot's aux field, so a resumed snowplow campaign
-             matches its uninterrupted run exactly. *)
-          let predictions =
-            Array.init jobs (fun _ -> Snowplow.Hybrid.make_predictions ())
-          in
-          let aux =
-            Snowplow.Persist.aux
-              ~parse:(Sp_syzlang.Parser.program db)
-              ~inference ~funnel ~predictions
-          in
-          let ts_extra () =
-            ts_extra ()
-            @ [
-                ("funnel.deferred",
-                 float_of_int (Snowplow.Funnel.requests_deferred funnel));
-                ("funnel.dropped", float_of_int (Snowplow.Funnel.dropped funnel));
-              ]
-          in
-          launch ~ts_extra ~aux
-            ~strategy_for:(fun s ->
-              Snowplow.Hybrid.strategy_with ~predictions:(predictions.(s))
-                ~endpoint:(Snowplow.Funnel.endpoint funnel ~shard:s)
-                k)
-            ~on_barrier:(fun ~now -> ignore (Snowplow.Funnel.flush funnel ~now))
-            () )
-  in
+  let k = make_kernel seed version in
+  let trace = trace_for trace_file in
+  let timeseries = Option.map (fun _ -> Timeseries.create ()) ts_file in
   Printf.printf "fuzzing %s for %.1f virtual hours with %s (%d job%s)...\n%!"
-    version hours name jobs
-    (if jobs = 1 then "" else "s");
-  let r = run_campaign () in
+    version hours
+    (match system with `Syzkaller -> "Syzkaller" | `Snowplow -> "Snowplow")
+    jobs (if jobs = 1 then "" else "s");
+  (* The campaign's own main lane (Trace.tracer memoizes by pid): the
+     training, inference and funnel spans land where their calls run. *)
+  let tracer = Trace.tracer trace ~pid:0 ~name:"campaign-main" in
+  let service =
+    start_service ~pipeline:Snowplow.Pipeline.default_config ~tracer
+      ~faults:Sp_util.Faults.disabled ~events:Sp_obs.Events.null k [ spec ]
+  in
+  let r =
+    match Launch.instance ~trace ~timeseries ~snapshot_dir ~restore service k spec with
+    | Ok inst -> Campaign.run inst
+    | Error msg ->
+      fail "fuzz" "cannot resume from %s: %s" (Option.value resume_file ~default:"") msg
+  in
   Printf.printf "%-8s %10s %10s %8s\n" "uptime" "blocks" "edges" "crashes";
   List.iter
     (fun (s : Campaign.snapshot) ->
@@ -276,32 +206,18 @@ let fuzz seed version hours run_seed system jobs trace_file ts_file
     r.Campaign.executions r.Campaign.corpus_size
     (List.length r.Campaign.crashes)
     (List.length r.Campaign.new_crashes);
+  let triage = Sp_fuzz.Triage.create k in
   List.iter
     (fun (f : Sp_fuzz.Triage.found) ->
       Printf.printf "  [%s] %s%s\n"
-        (if Sp_fuzz.Triage.is_known
-              (Sp_fuzz.Triage.create k) f.Sp_fuzz.Triage.description
-         then "known" else " new ")
+        (if Sp_fuzz.Triage.is_known triage f.Sp_fuzz.Triage.description then "known"
+         else " new ")
         f.Sp_fuzz.Triage.description
         (match f.Sp_fuzz.Triage.reproducer with
         | Some _ -> " (reproducer available)"
         | None -> ""))
     r.Campaign.crashes;
-  (match trace_file with
-  | Some path ->
-    Trace.write_file trace path;
-    Printf.printf "trace written to %s\n" path
-  | None -> ());
-  match (ts_file, timeseries) with
-  | Some path, Some ts ->
-    let data =
-      if Filename.check_suffix path ".csv" then Timeseries.to_csv ts
-      else Timeseries.to_jsonl ts
-    in
-    write_text_file path data;
-    Printf.printf "timeseries written to %s (%d rows)\n" path
-      (Timeseries.length ts)
-  | _ -> ()
+  write_telemetry trace trace_file timeseries ts_file
 
 let snapshot_dir_arg =
   Arg.(
@@ -375,121 +291,29 @@ let fuzz_cmd =
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type tenant_spec = {
-  tn_name : string;
-  tn_system : [ `Syzkaller | `Snowplow ];
-  tn_jobs : int;
-  tn_hours : float;
-  tn_seed : int;
-  tn_weight : float;
-  tn_budget : int option;
-  tn_corpus : int;
-}
-
-(* The --tenants file: a JSON array of {"name", "system", "jobs",
-   "hours", "run_seed", "weight", "exec_budget", "corpus_size"}; only
-   "name" is required. Every invalid entry is reported — one pass over
-   the roster collects them all into a single error message, so a bad
-   ten-tenant file is fixed in one edit, not ten. *)
-let tenant_specs_of_json j =
-  let module J = Sp_obs.Json in
-  let module D = J.Decode in
-  let opt name f default tj = if J.member name tj = None then default else f name tj in
-  let spec tj =
-    let s =
-      {
-        tn_name = D.str_field "name" tj;
-        tn_system =
-          (match opt "system" D.str_field "syzkaller" tj with
-          | "syzkaller" -> `Syzkaller
-          | "snowplow" -> `Snowplow
-          | s -> D.error "system: unknown fuzzer %S" s);
-        tn_jobs = opt "jobs" D.int_field 1 tj;
-        tn_hours = opt "hours" D.num_field 1.0 tj;
-        tn_seed = opt "run_seed" D.int_field 11 tj;
-        tn_weight = opt "weight" D.num_field 1.0 tj;
-        tn_budget =
-          (if J.member "exec_budget" tj = None then None
-           else Some (D.int_field "exec_budget" tj));
-        tn_corpus = opt "corpus_size" D.int_field 100 tj;
-      }
-    in
-    if s.tn_name = "" then D.error "name: must be non-empty";
-    if s.tn_jobs < 1 then D.error "jobs: must be >= 1 (got %d)" s.tn_jobs;
-    if not (Float.is_finite s.tn_weight && s.tn_weight > 0.0) then
-      D.error "weight: must be finite and positive (got %g)" s.tn_weight;
-    if not (Float.is_finite s.tn_hours && s.tn_hours > 0.0) then
-      D.error "hours: must be finite and positive (got %g)" s.tn_hours;
-    (match s.tn_budget with
-    | Some b when b < 0 -> D.error "exec_budget: must be >= 0 (got %d)" b
-    | Some _ | None -> ());
-    s
-  in
-  match j with
-  | J.Arr [] -> Error "tenants file: at least one tenant required"
-  | J.Arr tenants ->
-    let specs, errors =
-      List.fold_left
-        (fun (specs, errors) (i, tj) ->
-          match D.run (fun () -> spec tj) with
-          | Ok s -> (s :: specs, errors)
-          | Error e ->
-            (specs, Printf.sprintf "tenant entry %d: %s" i e :: errors))
-        ([], [])
-        (List.mapi (fun i tj -> (i, tj)) tenants)
-    in
-    let specs = List.rev specs in
-    let dup_errors =
-      let seen = Hashtbl.create 8 in
-      List.filter_map
-        (fun s ->
-          if s.tn_name <> "" && Hashtbl.mem seen s.tn_name then
-            Some (Printf.sprintf "duplicate tenant name %S" s.tn_name)
-          else begin
-            Hashtbl.add seen s.tn_name ();
-            None
-          end)
-        specs
-    in
-    let errors = List.rev_append errors dup_errors in
-    if errors <> [] then Error (String.concat "\n" errors) else Ok specs
-  | _ -> Error "tenants file: expected a JSON array of tenant objects"
-
 let serve seed version tenants_file workers snapshot_root resume trace_file
     ts_file max_slices fault_plan_file max_tenant_retries listen
     listen_port_file events_file summary_json =
-  let k = make_kernel seed version in
-  let db = Kernel.spec_db k in
   let specs =
-    match Sp_obs.Json.of_string (Sp_obs.Io.read_file tenants_file) with
-    | Error e ->
-      Printf.eprintf "snowplow serve: %s: JSON parse error: %s\n" tenants_file e;
-      exit 1
-    | Ok j -> (
-      match tenant_specs_of_json j with
-      | Error e ->
-        Printf.eprintf "snowplow serve: %s: %s\n" tenants_file e;
-        exit 1
-      | Ok specs -> specs)
+    match Launch.roster_of_string (Sp_obs.Io.read_file tenants_file) with
+    | Ok specs -> specs
+    | Error e -> fail "serve" "%s: %s" tenants_file e
   in
+  Option.iter
+    (fun w -> Result.iter_error (fail "serve" "%s") (Launch.check_workers w))
+    workers;
   let faults =
     match fault_plan_file with
     | None -> Sp_util.Faults.disabled
     | Some file -> (
       match Sp_obs.Json.of_string (Sp_obs.Io.read_file file) with
-      | Error e ->
-        Printf.eprintf "snowplow serve: %s: JSON parse error: %s\n" file e;
-        exit 1
-      | Ok j -> (
-        match Sp_util.Faults.of_json j with
-        | Error e ->
-          Printf.eprintf "snowplow serve: %s: %s\n" file e;
-          exit 1
-        | Ok f -> f))
+      | Error e -> fail "serve" "%s: JSON parse error: %s" file e
+      | Ok j ->
+        Result.fold ~ok:Fun.id ~error:(fail "serve" "%s: %s" file)
+          (Sp_util.Faults.of_json j))
   in
-  let trace =
-    if trace_file = None then Trace.disabled else Trace.create ~enabled:true ()
-  in
+  let k = make_kernel seed version in
+  let trace = trace_for trace_file in
   let timeseries = Option.map (fun _ -> Timeseries.create ()) ts_file in
   (* The structured event log replaces ad-hoc stderr prints: one bounded
      ring (feeding the exporter's /events endpoint) plus an optional
@@ -499,15 +323,8 @@ let serve seed version tenants_file workers snapshot_root resume trace_file
     if Option.is_none events_chan && Option.is_none listen then
       Sp_obs.Events.null
     else
-      Sp_obs.Events.create
-        ?sink:
-          (Option.map
-             (fun oc line ->
-               output_string oc line;
-               output_char oc '\n';
-               flush oc)
-             events_chan)
-        ()
+      let sink oc line = output_string oc (line ^ "\n"); flush oc in
+      Sp_obs.Events.create ?sink:(Option.map sink events_chan) ()
   in
   (* Fault injections become Warn events instead of being invisible
      until the final count — the observer fires on whichever domain hit
@@ -515,235 +332,33 @@ let serve seed version tenants_file workers snapshot_root resume trace_file
   Sp_util.Faults.set_observer faults (fun site ~k ->
       Sp_obs.Events.log events ~level:Sp_obs.Events.Warn ~kind:"fault.injected"
         [ ("site", Sp_obs.Json.Str site); ("k", Sp_obs.Json.Num (float_of_int k)) ]);
-  (* One warm service + one multi-tenant funnel for every snowplow
-     tenant: the shared-inference deployment the paper runs, and the
-     cold-start amortization bench/exp_sched.ml measures. Each tenant
-     gets its own funnel lane (outboxes/inboxes + request tag), so its
-     prediction stream depends only on its own request history. *)
   let service =
-    if not (List.exists (fun s -> s.tn_system = `Snowplow) specs) then None
-    else begin
-      print_endline "training PMM first (this takes a few minutes)...";
-      (* SNOWPLOW_QUICK shrinks training to the integration-test scale —
-         the CI chaos smoke uses it to keep the serve run under a minute.
-         The model is bad; the plumbing it exercises is the same. *)
-      let config =
-        if Sys.getenv_opt "SNOWPLOW_QUICK" = None then None
-        else
-          Some
-            {
-              Snowplow.Pipeline.default_config with
-              kernel_seed = 19;
-              gen_bases = 40;
-              corpus_bases = 40;
-              warmup_duration = 900.0;
-              dataset =
-                {
-                  Snowplow.Dataset.default_config with
-                  mutations_per_base = 200;
-                };
-              encoder = { Snowplow.Encoder.default_config with steps = 600 };
-              trainer =
-                {
-                  Snowplow.Trainer.default_config with
-                  epochs = 4;
-                  log_every = 0;
-                };
-            }
-      in
-      let t0 = Unix.gettimeofday () in
-      let p = Snowplow.Pipeline.train ?config () in
-      let train_wall = Unix.gettimeofday () -. t0 in
-      (* Trainer throughput as a static gauge: example presentations per
-         wall second over the whole pretraining run. *)
-      let samples_per_s =
-        let epochs =
-          (Option.value config ~default:Snowplow.Pipeline.default_config)
-            .Snowplow.Pipeline.trainer
-            .Snowplow.Trainer.epochs
-        in
-        let presented =
-          Array.length p.Snowplow.Pipeline.split.Snowplow.Dataset.train * epochs
-        in
-        if train_wall > 0.0 then float_of_int presented /. train_wall else 0.0
-      in
-      let inference = Snowplow.Pipeline.inference_for p k in
-      (* Degradation (lane breakers, retries, timeouts) only arms
-         together with a fault plan: the base service cannot stall on
-         its own, so without injected faults the machinery would be pure
-         (byte-compat-threatening) dead weight. *)
-      let degrade =
-        if Sp_util.Faults.enabled faults then
-          Some Snowplow.Funnel.default_degrade
-        else None
-      in
-      let funnel =
-        Snowplow.Funnel.create_multi ?degrade ~faults ~events
-          ~tenant_shards:(Array.of_list (List.map (fun s -> s.tn_jobs) specs))
-          inference
-      in
-      Some (inference, funnel, samples_per_s)
-    end
+    start_service ~pipeline:(Snowplow.Pipeline.env_config ()) ~tracer:Sp_obs.Tracer.null
+      ~faults ~events k specs
   in
-  (* Latest barrier virtual time across snowplow tenants: what the
-     telemetry extra-metrics closure passes to [Funnel.lane_stats] (the
-     breaker's half-open decision is clocked). Written only inside
-     barrier hooks and read only between slices — both on the
-     scheduling domain. *)
-  let last_barrier_now = ref 0.0 in
   let tenants =
     List.mapi
-      (fun i s ->
-        let cfg =
-          {
-            Campaign.default_config with
-            seed_corpus =
-              Sp_syzlang.Gen.corpus
-                (Sp_util.Rng.create (s.tn_seed lxor 0x5eed))
-                db ~size:s.tn_corpus;
-            seed = s.tn_seed;
-            duration = s.tn_hours *. 3600.0;
-            snapshot_every = Float.max 600.0 (s.tn_hours *. 3600.0 /. 12.0);
-            attempt_repro = true;
-          }
-        in
-        let vm_for sh = Sp_fuzz.Vm.create ~seed:(s.tn_seed + (7919 * sh)) k in
+      (fun index (s : Launch.spec) ->
         let snapshot_dir =
-          Option.map (fun root -> Filename.concat root s.tn_name) snapshot_root
+          Option.map (fun root -> Filename.concat root s.name) snapshot_root
         in
+        (* [latest_valid] scans past a torn/corrupt newest snapshot
+           (warning per skip) to the most recent one that parses — a
+           kill mid-write never strands the tenant. *)
         let restore =
-          match (resume, snapshot_dir) with
-          | false, _ | _, None -> None
-          | true, Some dir -> (
-            (* [latest_valid] scans past a torn/corrupt newest snapshot
-               (warning per skip) to the most recent one that parses —
-               a kill mid-write never strands the tenant. *)
+          match snapshot_dir with
+          | Some dir when resume -> (
             match Sp_fuzz.Snapshot.latest_valid ~dir () with
             | None ->
-              Printf.printf "tenant %-12s no snapshot in %s, starting fresh\n"
-                s.tn_name dir;
+              Printf.printf "tenant %-12s no snapshot in %s, starting fresh\n" s.name dir;
               None
             | Some (_, file, snap) ->
-              Printf.printf "tenant %-12s resuming from %s\n" s.tn_name file;
+              Printf.printf "tenant %-12s resuming from %s\n" s.name file;
               Some snap)
+          | _ -> None
         in
-        let strategy_for, on_barrier, aux =
-          match s.tn_system with
-          | `Syzkaller ->
-            ((fun _ -> Sp_fuzz.Strategy.syzkaller db), None, None)
-          | `Snowplow ->
-            let inference, funnel, _ = Option.get service in
-            let predictions =
-              Array.init s.tn_jobs (fun _ ->
-                  Snowplow.Hybrid.make_predictions ())
-            in
-            ( (fun sh ->
-                Snowplow.Hybrid.strategy_with
-                  ~predictions:(predictions.(sh))
-                  ~degraded:(fun () ->
-                    Snowplow.Funnel.lane_degraded funnel ~tenant:i)
-                  ~endpoint:(Snowplow.Funnel.endpoint_for funnel ~tenant:i ~shard:sh)
-                  k),
-              Some
-                (fun ~now ->
-                  last_barrier_now := Float.max !last_barrier_now now;
-                  ignore (Snowplow.Funnel.flush_tenant funnel ~tenant:i ~now)),
-              (* Shared-service state rides in every snowplow tenant's
-                 snapshot; on a multi-tenant resume the last restored
-                 tenant's view wins (best effort — solo resume is
-                 exact). *)
-              Some
-                (Snowplow.Persist.aux
-                   ~parse:(Sp_syzlang.Parser.program db)
-                   ~inference ~funnel ~predictions) )
-        in
-        Sp_fuzz.Scheduler.tenant ~weight:s.tn_weight ?exec_budget:s.tn_budget
-          ?on_barrier ?snapshot_dir ?restore ?aux ~name:s.tn_name
-          ~jobs:s.tn_jobs ~vm_for ~strategy_for cfg)
+        Launch.tenant ~snapshot_dir ~restore service k ~index s)
       specs
-  in
-  (* Extra exposition series the scheduler cannot see: the shared
-     inference service, the funnel lanes, and the (static) trainer
-     throughput. Called on the scheduling domain between slices, so
-     every read is barrier-stable. *)
-  let extra_metrics () =
-    let module E = Sp_obs.Exposition in
-    match service with
-    | None -> []
-    | Some (inference, funnel, samples_per_s) ->
-      let svc name help v =
-        E.metric ~help E.Gauge ("snowplow_inference_" ^ name) v
-      in
-      let base =
-        [ E.metric ~help:"PMM training throughput over the pretraining run"
-            E.Gauge "snowplow_trainer_samples_per_second" samples_per_s;
-          svc "pending" "requests queued in the shared service"
-            (float_of_int (Snowplow.Inference.pending inference));
-          E.metric ~help:"predictions served" E.Counter
-            "snowplow_inference_served"
-            (float_of_int (Snowplow.Inference.served inference));
-          E.metric ~help:"prediction cache hits" E.Counter
-            "snowplow_inference_cache_hits"
-            (float_of_int (Snowplow.Inference.cache_hits inference));
-          svc "cache_size" "cached predictions"
-            (float_of_int (Snowplow.Inference.cache_size inference))
-        ]
-      in
-      let lanes =
-        List.concat
-          (List.mapi
-             (fun i s ->
-               let labels = [ ("tenant", s.tn_name) ] in
-               let gauge name help v =
-                 E.metric ~help ~labels E.Gauge ("snowplow_funnel_" ^ name) v
-               in
-               let counter name help v =
-                 E.metric ~help ~labels E.Counter ("snowplow_funnel_" ^ name) v
-               in
-               let common =
-                 [ gauge "queue_depth"
-                     "outbox + inbox + pending-retry requests parked in the \
-                      lane"
-                     (float_of_int
-                        (Snowplow.Funnel.tenant_queue_depth funnel ~tenant:i));
-                   counter "deferred" "requests accepted into the lane"
-                     (float_of_int
-                        (Snowplow.Funnel.tenant_deferred funnel ~tenant:i));
-                   counter "dropped" "requests refused by the lane"
-                     (float_of_int
-                        (Snowplow.Funnel.tenant_dropped funnel ~tenant:i))
-                 ]
-               in
-               match
-                 Snowplow.Funnel.lane_stats funnel ~tenant:i
-                   ~now:!last_barrier_now
-               with
-               | None -> common
-               | Some ls ->
-                 common
-                 @ [ E.metric
-                       ~help:
-                         "breaker state (0 closed, 1 half-open, 2 open, -1 \
-                          unknown)"
-                       ~labels E.Gauge "snowplow_breaker_state"
-                       (match ls.Snowplow.Funnel.ls_state with
-                       | "closed" -> 0.0
-                       | "half-open" -> 1.0
-                       | "open" -> 2.0
-                       | _ -> -1.0);
-                     E.metric ~help:"breaker trips" ~labels E.Counter
-                       "snowplow_breaker_trips"
-                       (float_of_int ls.Snowplow.Funnel.ls_trips);
-                     E.metric ~help:"lane errors (timeouts + failures)"
-                       ~labels E.Counter "snowplow_breaker_errors"
-                       (float_of_int ls.Snowplow.Funnel.ls_errors);
-                     E.metric ~help:"requests shed while degraded" ~labels
-                       E.Counter "snowplow_breaker_shed"
-                       (float_of_int ls.Snowplow.Funnel.ls_shed)
-                   ])
-             specs)
-      in
-      base @ lanes
   in
   let exporter =
     match listen with
@@ -751,18 +366,18 @@ let serve seed version tenants_file workers snapshot_root resume trace_file
     | Some port -> (
       let ex = Sp_obs.Exporter.create ~events () in
       match Sp_obs.Exporter.start ex ~port with
-      | Error e ->
-        Printf.eprintf "snowplow serve: --listen %d: %s\n" port e;
-        exit 1
+      | Error e -> fail "serve" "--listen %d: %s" port e
       | Ok actual ->
         Printf.printf "telemetry exporter listening on 127.0.0.1:%d\n%!" actual;
-        (match listen_port_file with
-        | Some f -> write_text_file f (string_of_int actual ^ "\n")
-        | None -> ());
+        Option.iter
+          (fun f -> Sp_obs.Io.write_atomic f (string_of_int actual ^ "\n"))
+          listen_port_file;
         Some ex)
   in
   let telemetry =
-    Option.map (fun ex -> Sp_fuzz.Scheduler.telemetry ~extra:extra_metrics ex)
+    Option.map
+      (fun ex ->
+        Sp_fuzz.Scheduler.telemetry ~extra:(fun () -> Launch.gauges service specs) ex)
       exporter
   in
   Printf.printf "serving %d tenant%s on kernel %s...\n%!" (List.length specs)
@@ -779,27 +394,27 @@ let serve seed version tenants_file workers snapshot_root resume trace_file
   match result with
   | Error msg ->
     finish_telemetry ();
-    Printf.eprintf "snowplow serve: %s\n" msg;
-    exit 1
+    fail "serve" "%s" msg
   | Ok r ->
     let module S = Sp_fuzz.Scheduler in
     Printf.printf "%d slices over %d workers\n\n" r.S.sr_slices r.S.sr_workers;
     Printf.printf "%-12s %6s %6s %10s %8s %7s  %s\n" "tenant" "weight"
       "slices" "execs" "crashes" "corpus" "status";
+    let plural n one many = if n = 1 then one else many in
     List.iter
       (fun tr ->
+        let failures = List.length tr.S.tr_failures in
         Printf.printf "%-12s %6.1f %6d %10d %8d %7d  %s\n" tr.S.tr_name
           tr.S.tr_weight tr.S.tr_slices tr.S.tr_executions
           (List.length tr.S.tr_report.Campaign.crashes)
           tr.S.tr_report.Campaign.corpus_size
           (if tr.S.tr_quarantined then
-             Printf.sprintf "quarantined after %d failure%s"
-               (List.length tr.S.tr_failures)
-               (if List.length tr.S.tr_failures = 1 then "" else "s")
+             Printf.sprintf "quarantined after %d failure%s" failures
+               (plural failures "" "s")
            else if tr.S.tr_completed then
              if tr.S.tr_retries > 0 then
                Printf.sprintf "completed (%d retr%s)" tr.S.tr_retries
-                 (if tr.S.tr_retries = 1 then "y" else "ies")
+                 (plural tr.S.tr_retries "y" "ies")
              else "completed"
            else if tr.S.tr_budget_exhausted then "budget exhausted"
            else "cut by --max-slices"))
@@ -815,77 +430,30 @@ let serve seed version tenants_file workers snapshot_root resume trace_file
           List.iter
             (fun (fl : S.failure) ->
               let first_line =
-                match String.index_opt fl.S.fl_exn '\n' with
-                | None -> fl.S.fl_exn
-                | Some i -> String.sub fl.S.fl_exn 0 i
+                List.hd (String.split_on_char '\n' fl.S.fl_exn)
               in
               Printf.printf "%-12s %4d %8d %6d  %s\n" tr.S.tr_name
                 fl.S.fl_generation fl.S.fl_barrier fl.S.fl_slice first_line)
             tr.S.tr_failures)
         failed
     end;
+    let injected = Sp_util.Faults.injected faults in
     if Sp_util.Faults.enabled faults then
-      Printf.printf "\n%d fault%s injected\n"
-        (Sp_util.Faults.injected faults)
-        (if Sp_util.Faults.injected faults = 1 then "" else "s");
-    (match trace_file with
-    | Some path ->
-      Trace.write_file trace path;
-      Printf.printf "trace written to %s\n" path
-    | None -> ());
-    (match (ts_file, timeseries) with
-    | Some path, Some ts ->
-      let data =
-        if Filename.check_suffix path ".csv" then Timeseries.to_csv ts
-        else Timeseries.to_jsonl ts
-      in
-      write_text_file path data;
-      Printf.printf "timeseries written to %s (%d rows)\n" path
-        (Timeseries.length ts)
-    | _ -> ());
+      Printf.printf "\n%d fault%s injected\n" injected (plural injected "" "s");
+    write_telemetry trace trace_file timeseries ts_file;
     (* Machine-readable run summary, written atomically — what the CI
-       smoke asserts against instead of scraping stdout. Derived only
-       from the report, so it is byte-identical for identical runs. *)
-    (match summary_json with
-    | None -> ()
-    | Some path ->
-      let module J = Sp_obs.Json in
-      let tenant_json tr =
-        J.Obj
-          [ ("name", J.Str tr.S.tr_name);
-            ("weight", J.Num tr.S.tr_weight);
-            ("slices", J.Num (float_of_int tr.S.tr_slices));
-            ("executions", J.Num (float_of_int tr.S.tr_executions));
-            ( "crashes",
-              J.Num
-                (float_of_int (List.length tr.S.tr_report.Campaign.crashes)) );
-            ( "corpus_size",
-              J.Num (float_of_int tr.S.tr_report.Campaign.corpus_size) );
-            ("completed", J.Bool tr.S.tr_completed);
-            ("quarantined", J.Bool tr.S.tr_quarantined);
-            ("budget_exhausted", J.Bool tr.S.tr_budget_exhausted);
-            ("retries", J.Num (float_of_int tr.S.tr_retries));
-            ("failures", J.Num (float_of_int (List.length tr.S.tr_failures)))
-          ]
-      in
-      let doc =
-        J.Obj
-          [ ("slices", J.Num (float_of_int r.S.sr_slices));
-            ("workers", J.Num (float_of_int r.S.sr_workers));
-            ( "faults_injected",
-              J.Num (float_of_int (Sp_util.Faults.injected faults)) );
-            ("tenants", J.Arr (List.map tenant_json r.S.sr_tenants))
-          ]
-      in
-      Sp_obs.Io.write_atomic path (J.to_string doc ^ "\n");
-      Printf.printf "summary written to %s\n" path);
+       smoke asserts against instead of scraping stdout. *)
+    Option.iter
+      (fun path ->
+        Sp_obs.Io.write_atomic path
+          (Sp_obs.Json.to_string (S.summary_json ~faults_injected:injected r) ^ "\n");
+        Printf.printf "summary written to %s\n" path)
+      summary_json;
     finish_telemetry ();
     (* Partial failure is still service: the run only counts as failed
        when not a single tenant survived. *)
-    if List.for_all (fun tr -> tr.S.tr_quarantined) r.S.sr_tenants then begin
-      Printf.eprintf "snowplow serve: every tenant was quarantined\n";
-      exit 1
-    end
+    if List.for_all (fun tr -> tr.S.tr_quarantined) r.S.sr_tenants then
+      fail "serve" "every tenant was quarantined"
 
 let serve_cmd =
   let tenants_file =
@@ -1018,9 +586,7 @@ let serve_cmd =
 (* ------------------------------------------------------------------ *)
 
 let train jobs trace_file =
-  let trace =
-    if trace_file = None then Trace.disabled else Trace.create ~enabled:true ()
-  in
+  let trace = trace_for trace_file in
   let main_tracer = Trace.tracer trace ~pid:0 ~name:"train-main" in
   (* One tracer per stripe (pids 2001+s): a stripe is executed by exactly
      one pool task per batch, so each tracer stays single-writer no
@@ -1029,26 +595,7 @@ let train jobs trace_file =
     Trace.tracer trace ~pid:(2001 + s) ~name:(Printf.sprintf "train-stripe-%d" s)
   in
   let config =
-    (* SNOWPLOW_QUICK shrinks the pipeline to integration-test scale, the
-       same dial `serve` uses — the CI smoke trains in seconds and still
-       exercises the full striped path. *)
-    let base =
-      if Sys.getenv_opt "SNOWPLOW_QUICK" = None then
-        Snowplow.Pipeline.default_config
-      else
-        {
-          Snowplow.Pipeline.default_config with
-          kernel_seed = 19;
-          gen_bases = 40;
-          corpus_bases = 40;
-          warmup_duration = 900.0;
-          dataset =
-            { Snowplow.Dataset.default_config with mutations_per_base = 200 };
-          encoder = { Snowplow.Encoder.default_config with steps = 600 };
-          trainer =
-            { Snowplow.Trainer.default_config with epochs = 4; log_every = 0 };
-        }
-    in
+    let base = Snowplow.Pipeline.env_config () in
     { base with trainer = { base.trainer with jobs } }
   in
   let p = Snowplow.Pipeline.train ~config ~tracer:main_tracer ~tracer_for () in
@@ -1059,11 +606,8 @@ let train jobs trace_file =
   Printf.printf "threshold %.2f, %d parameters\n"
     (Snowplow.Pmm.threshold p.Snowplow.Pipeline.model)
     (Snowplow.Pmm.num_parameters p.Snowplow.Pipeline.model);
-  match trace_file with
-  | Some path ->
-    Trace.write_file trace path;
-    Printf.printf "trace written to %s\n" path
-  | None -> ()
+  write_telemetry trace trace_file None None
+
 
 let train_cmd =
   let jobs =
@@ -1145,10 +689,8 @@ let directed_cmd =
 (* stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let read_text_file path = Sp_obs.Io.read_file path
-
 let show_trace path ~top ~strict ~expect_spans problem =
-  match Sp_obs.Json.of_string (read_text_file path) with
+  match Sp_obs.Json.of_string (Sp_obs.Io.read_file path) with
   | Error e -> problem (Printf.sprintf "trace %s: JSON parse error: %s" path e)
   | Ok json -> (
     match Trace_check.validate json with
@@ -1158,24 +700,15 @@ let show_trace path ~top ~strict ~expect_spans problem =
         s.Trace_check.events
         (List.length s.Trace_check.pids)
         (List.fold_left (fun acc (_, n) -> acc + n) 0 s.Trace_check.instants);
-      (* Ring-evicted events: the tracer's bounded buffers silently drop
-         the oldest events past capacity, so a truncated lane means the
-         span tables below under-count. Loud in --check, fatal in
-         --strict. *)
-      if s.Trace_check.dropped <> [] then begin
-        List.iter
-          (fun (pid, n) ->
-            Printf.printf
-              "  WARN pid %d: %d event(s) dropped from its bounded ring \
-               (tables under-count)\n"
-              pid n)
-          s.Trace_check.dropped;
-        if strict then
-          problem
-            (Printf.sprintf "trace %s: %d event(s) dropped from bounded rings"
-               path
-               (Trace_check.total_dropped s))
-      end;
+      (* Ring-evicted events mean the span tables below under-count:
+         loud in --check, fatal in --strict. *)
+      List.iter
+        (fun (pid, n) ->
+          Printf.printf
+            "  WARN pid %d: %d event(s) dropped from its bounded ring \
+             (tables under-count)\n"
+            pid n)
+        s.Trace_check.dropped;
       if s.Trace_check.span_stats <> [] then begin
         Printf.printf "\n  %-24s %8s %12s %12s\n" "hottest spans" "count"
           "total ms" "max ms";
@@ -1198,13 +731,11 @@ let show_trace path ~top ~strict ~expect_spans problem =
           s.Trace_check.counter_stats
       end;
       List.iter
-        (fun name ->
-          if not (Trace_check.has_span s name) then
-            problem (Printf.sprintf "trace %s: expected span %S missing" path name))
-        expect_spans)
+        (fun p -> problem (Printf.sprintf "trace %s: %s" path p))
+        (Trace_check.problems ~strict ~expect_spans s))
 
 let show_timeseries path ~plot ~ascii ~csv_out ~expect_series problem =
-  match Timeseries.of_jsonl (read_text_file path) with
+  match Timeseries.of_jsonl (Sp_obs.Io.read_file path) with
   | Error e -> problem (Printf.sprintf "timeseries %s: %s" path e)
   | Ok ts ->
     let columns = Timeseries.columns ts in
@@ -1235,15 +766,15 @@ let show_timeseries path ~plot ~ascii ~csv_out ~expect_series problem =
       (if plot then [ "edges"; "execs_per_s" ] else []);
     (match csv_out with
     | Some out ->
-      write_text_file out (Timeseries.to_csv ts);
+      Sp_obs.Io.write_atomic out (Timeseries.to_csv ts);
       Printf.printf "\ncsv written to %s\n" out
     | None -> ());
     List.iter
       (fun name ->
-        if not (List.mem name columns) then
-          problem
-            (Printf.sprintf "timeseries %s: expected series %S missing" path name))
-      expect_series
+        problem
+          (Printf.sprintf "timeseries %s: expected series %S missing" path name))
+      (Timeseries.missing ts expect_series)
+
 
 let stats trace_file ts_file top plot ascii check strict expect_spans
     expect_series csv_out =
@@ -1350,118 +881,15 @@ let stats_cmd =
 (* top — live view of a `serve --listen` telemetry plane               *)
 (* ------------------------------------------------------------------ *)
 
-let parse_connect s =
-  match String.rindex_opt s ':' with
-  | None -> Error (Printf.sprintf "--connect %S: expected HOST:PORT" s)
-  | Some i -> (
-    let host = if i = 0 then "127.0.0.1" else String.sub s 0 i in
-    match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-    | Some p when p > 0 && p < 65536 -> Ok (host, p)
-    | Some _ | None ->
-      Error (Printf.sprintf "--connect %S: bad port" s))
-
-let top_get ~host ~port path =
-  match Sp_obs.Http.get ~host ~port path with
-  | Ok (200, _, body) -> Ok body
-  | Ok (code, _, _) -> Error (Printf.sprintf "GET %s: HTTP %d" path code)
-  | Error e -> Error (Printf.sprintf "GET %s: %s" path e)
-
-(* Wait for the exporter to come up: `serve` trains the PMM before it
-   binds, so a monitor started alongside it needs patience. *)
-let top_wait ~host ~port ~retry_for =
-  let deadline = Unix.gettimeofday () +. retry_for in
-  let rec go () =
-    match top_get ~host ~port "/health" with
-    | Ok _ -> Ok ()
-    | Error e ->
-      if Unix.gettimeofday () >= deadline then Error e
-      else begin
-        Unix.sleepf 0.25;
-        go ()
-      end
-  in
-  go ()
-
-type top_sample = {
-  tp_health : Sp_obs.Json.t;
-  tp_tenants : Sp_obs.Json.t;
-  tp_metrics : string;
-}
-
-let top_fetch ~host ~port =
-  let ( let* ) = Result.bind in
-  let* health = top_get ~host ~port "/health" in
-  let* tenants = top_get ~host ~port "/tenants" in
-  let* metrics = top_get ~host ~port "/metrics" in
-  let* tp_health =
-    Result.map_error (Printf.sprintf "/health: JSON parse error: %s")
-      (Sp_obs.Json.of_string health)
-  in
-  let* tp_tenants =
-    Result.map_error (Printf.sprintf "/tenants: JSON parse error: %s")
-      (Sp_obs.Json.of_string tenants)
-  in
-  Ok { tp_health; tp_tenants; tp_metrics = metrics }
-
-(* Structural check of one scrape: the exposition parses and carries the
-   series the dashboard depends on; /health and /tenants have the
-   documented shape. *)
-let top_check sample =
+let top_render ~target ~ascii ~history (sample : Sp_obs.Scrape.sample) =
   let module J = Sp_obs.Json in
-  let problems = ref [] in
-  let problem fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  (match Sp_obs.Exposition.validate sample.tp_metrics with
-  | Error e -> problem "/metrics: invalid exposition: %s" e
-  | Ok x ->
-    if x.Sp_obs.Exposition.x_samples = 0 then problem "/metrics: no samples";
-    List.iter
-      (fun name ->
-        if not (List.mem name x.Sp_obs.Exposition.x_names) then
-          problem "/metrics: expected family %s missing" name)
-      [ "snowplow_scheduler_slices"; "snowplow_tenant_state";
-        "snowplow_tenant_executions" ]);
-  (match sample.tp_health with
-  | J.Obj _ ->
-    if Option.bind (J.member "status" sample.tp_health) J.str_opt = None then
-      problem "/health: missing status"
-  | _ -> problem "/health: expected an object");
-  (match sample.tp_tenants with
-  | J.Arr (_ :: _) -> ()
-  | J.Arr [] -> problem "/tenants: empty roster"
-  | _ -> problem "/tenants: expected an array");
-  List.rev !problems
-
-let top_tenant_rows tenants =
-  let module J = Sp_obs.Json in
-  match tenants with
-  | J.Arr items ->
-    List.filter_map
-      (fun tj ->
-        let str name = Option.bind (J.member name tj) J.str_opt in
-        let num name = Option.bind (J.member name tj) J.num_opt in
-        match (str "name", str "state") with
-        | Some name, Some state ->
-          Some
-            ( name,
-              state,
-              Option.value ~default:1.0 (num "weight"),
-              int_of_float (Option.value ~default:0.0 (num "slices")),
-              int_of_float (Option.value ~default:0.0 (num "executions")),
-              Option.map int_of_float (num "budget_remaining"),
-              int_of_float (Option.value ~default:0.0 (num "retries")) )
-        | _ -> None)
-      items
-  | _ -> []
-
-let top_render ~target ~ascii ~history sample =
-  let module J = Sp_obs.Json in
-  let h name = Option.bind (J.member name sample.tp_health) J.num_opt in
+  let h name = Option.bind (J.member name sample.health) J.num_opt in
   let status =
     Option.value ~default:"?"
-      (Option.bind (J.member "status" sample.tp_health) J.str_opt)
+      (Option.bind (J.member "status" sample.health) J.str_opt)
   in
   let running =
-    match J.member "running" sample.tp_health with
+    match J.member "running" sample.health with
     | Some (J.Bool b) -> b
     | _ -> false
   in
@@ -1473,111 +901,73 @@ let top_render ~target ~ascii ~history sample =
   Printf.printf "%-12s %-11s %6s %6s %10s %10s %7s  %s\n" "tenant" "state"
     "weight" "slices" "execs" "budget" "retries" "execs trend";
   List.iter
-    (fun (name, state, weight, slices, execs, budget, retries) ->
+    (fun (row : Sp_obs.Scrape.tenant_row) ->
       let hist =
-        match Hashtbl.find_opt history name with
-        | Some l -> l
-        | None -> []
+        float_of_int row.executions
+        :: Option.value ~default:[] (Hashtbl.find_opt history row.name)
       in
-      let hist = float_of_int execs :: hist in
-      let hist = if List.length hist > 32 then List.filteri (fun i _ -> i < 32) hist else hist in
-      Hashtbl.replace history name hist;
+      let hist = List.filteri (fun i _ -> i < 32) hist in
+      Hashtbl.replace history row.name hist;
       (* Spark the per-interval deltas, not the monotone totals — flat
          means stalled, tall means busy. *)
+      let h = Array.of_list (List.rev hist) in
       let deltas =
-        match List.rev hist with
-        | [] | [ _ ] -> [| 0.0 |]
-        | oldest :: rest ->
-          let _, ds =
-            List.fold_left
-              (fun (prev, acc) v -> (v, (v -. prev) :: acc))
-              (oldest, []) rest
-          in
-          Array.of_list (List.rev ds)
+        if Array.length h < 2 then [| 0.0 |]
+        else Array.init (Array.length h - 1) (fun i -> h.(i + 1) -. h.(i))
       in
-      Printf.printf "%-12s %-11s %6.1f %6d %10d %10s %7d  %s\n" name state
-        weight slices execs
-        (match budget with None -> "-" | Some b -> string_of_int b)
-        retries
+      Printf.printf "%-12s %-11s %6.1f %6d %10d %10s %7d  %s\n" row.name
+        row.state row.weight row.slices row.executions
+        (match row.budget_remaining with None -> "-" | Some b -> string_of_int b)
+        row.retries
         (Sp_util.Ascii_plot.sparkline ~max_width:24 ~ascii deltas))
-    (top_tenant_rows sample.tp_tenants);
+    (Sp_obs.Scrape.tenant_rows sample.tenants);
   running
 
 let top connect interval once json check ascii retry_for =
-  match parse_connect connect with
-  | Error e ->
-    prerr_endline ("snowplow top: " ^ e);
-    exit 2
-  | Ok (host, port) -> (
-    let target = Printf.sprintf "%s:%d" host port in
-    (match top_wait ~host ~port ~retry_for with
-    | Ok () -> ()
+  let module Scrape = Sp_obs.Scrape in
+  let host, port =
+    match Scrape.parse_target connect with
+    | Ok target -> target
     | Error e ->
-      Printf.eprintf "snowplow top: cannot reach %s: %s\n" target e;
-      exit 2);
-    let fetch () =
-      match top_fetch ~host ~port with
-      | Ok s -> s
-      | Error e ->
-        Printf.eprintf "snowplow top: %s: %s\n" target e;
-        exit 2
+      prerr_endline ("snowplow top: " ^ e);
+      exit 2
+  in
+  let target = Printf.sprintf "%s:%d" host port in
+  let or_exit ?(what = target) = function
+    | Ok x -> x
+    | Error e ->
+      Printf.eprintf "snowplow top: %s: %s\n" what e;
+      exit 2
+  in
+  or_exit ~what:("cannot reach " ^ target) (Scrape.wait ~host ~port ~retry_for);
+  if once then begin
+    let sample, problems =
+      or_exit
+        (if check then Scrape.fetch_checked ~host ~port ~retry_for
+         else Result.map (fun s -> (s, [])) (Scrape.fetch ~host ~port))
     in
-    let run_checks sample =
-      match top_check sample with
-      | [] -> true
-      | problems ->
-        List.iter (fun p -> Printf.eprintf "FAIL %s\n" p) problems;
-        false
+    List.iter (fun p -> Printf.eprintf "FAIL %s\n" p) problems;
+    if json then print_endline (Sp_obs.Json.to_string (Scrape.to_json sample))
+    else ignore (top_render ~target ~ascii ~history:(Hashtbl.create 8) sample);
+    if problems <> [] then exit 1;
+    if check then prerr_endline "top check: OK"
+  end
+  else begin
+    let history = Hashtbl.create 8 in
+    let rec loop () =
+      let sample = or_exit (Scrape.fetch ~host ~port) in
+      (* ANSI home+clear: redraw in place like top(1). *)
+      print_string "\027[H\027[2J";
+      let running = top_render ~target ~ascii ~history sample in
+      print_string "\nctrl-c to quit\n";
+      flush stdout;
+      if running then begin
+        Unix.sleepf interval;
+        loop ()
+      end
     in
-    if once then begin
-      (* Under --check, --retry-for also covers the window between the
-         exporter binding its port and the scheduler's first barrier
-         publication — keep sampling until a scrape passes or the
-         deadline expires (the last failing scrape's problems are what
-         gets reported). *)
-      let deadline = Unix.gettimeofday () +. retry_for in
-      let rec sample_until_ok () =
-        let sample = fetch () in
-        if not check then (sample, true)
-        else if top_check sample = [] then (sample, true)
-        else if Unix.gettimeofday () < deadline then begin
-          Unix.sleepf 0.25;
-          sample_until_ok ()
-        end
-        else (sample, run_checks sample)
-      in
-      let sample, ok = sample_until_ok () in
-      if json then
-        print_endline
-          (Sp_obs.Json.to_string
-             (Sp_obs.Json.Obj
-                [ ("health", sample.tp_health);
-                  ("tenants", sample.tp_tenants);
-                  ("metrics", Sp_obs.Json.Str sample.tp_metrics)
-                ]))
-      else begin
-        let history = Hashtbl.create 8 in
-        ignore (top_render ~target ~ascii ~history sample)
-      end;
-      if check && ok then prerr_endline "top check: OK";
-      if not ok then exit 1
-    end
-    else begin
-      let history = Hashtbl.create 8 in
-      let rec loop () =
-        let sample = fetch () in
-        (* ANSI home+clear: redraw in place like top(1). *)
-        print_string "\027[H\027[2J";
-        let running = top_render ~target ~ascii ~history sample in
-        print_string "\nctrl-c to quit\n";
-        flush stdout;
-        if running then begin
-          Unix.sleepf interval;
-          loop ()
-        end
-      in
-      loop ()
-    end)
+    loop ()
+  end
 
 let top_cmd =
   let connect =
@@ -1647,19 +1037,18 @@ let top_cmd =
 (* bench-diff — compare a fresh bench run against committed baselines  *)
 (* ------------------------------------------------------------------ *)
 
-(* The committed BENCH_E*.json files carry full-workload numbers; a CI
-   quick-mode rerun produces junk absolute values on a shared runner.
-   So the comparison is structural plus banded: key sets must match,
-   every value must be finite and sane for its unit, the *committed*
-   baselines must clear absolute floors (the real perf-rot gate — a
-   regression lands as a diff to the committed file), and the fresh
-   run's scale-free ratio metrics must clear the reduced quick-mode
-   bars. *)
+(* The committed BENCH_E*.json files carry full-workload numbers, a CI
+   quick-mode rerun small ones: the committed baselines must clear these
+   absolute floors (the real perf-rot gate — a regression lands as a diff
+   to the committed file), and the fresh run's scale-free ratios the
+   reduced quick-mode bars below. *)
+let bench_bound experiment key min = { Sp_obs.Bench_diff.experiment; key; min }
+
 let bench_baseline_floors =
-  [ ("E8", "inference_saturation_qps", 40.0);
-    ("E11", "speedup_vs_reference", 3.0);
-    ("E12", "throughput_ratio", 1.5);
-    ("E13", "speedup_vs_reference", 3.0)
+  [ bench_bound "E8" "inference_saturation_qps" 40.0;
+    bench_bound "E11" "speedup_vs_reference" 3.0;
+    bench_bound "E12" "throughput_ratio" 1.5;
+    bench_bound "E13" "speedup_vs_reference" 3.0
   ]
 
 (* Kept in sync with the experiments' own quick-mode sanity bars: the
@@ -1668,56 +1057,16 @@ let bench_baseline_floors =
    @ci build vs 3.5x uncontended), so only a wide sanity margin is
    asserted on the fresh side. *)
 let bench_fresh_bars =
-  [ ("E11", "speedup_vs_reference", 1.1);
-    ("E12", "throughput_ratio", 1.2);
-    ("E13", "speedup_vs_reference", 1.1)
+  [ bench_bound "E11" "speedup_vs_reference" 1.1;
+    bench_bound "E12" "throughput_ratio" 1.2;
+    bench_bound "E13" "speedup_vs_reference" 1.1
   ]
 
-(* Unit sanity: time/rate/count metrics must be positive. Ratio metrics
-   (speedups included — a 1-core host can make them < 1) only need to
-   be positive too, so the one rule covers everything measured. *)
-let bench_positive_key key =
-  let has sub =
-    let lk = String.lowercase_ascii key and n = String.length sub in
-    let rec go i =
-      i + n <= String.length lk
-      && (String.sub lk i n = sub || go (i + 1))
-    in
-    go 0
-  in
-  has "_s" || has "per_s" || has "qps" || has "execs" || has "ratio"
-  || has "speedup"
-
-let bench_read_fields path =
-  let module J = Sp_obs.Json in
-  match J.of_string (Sp_obs.Io.read_file path) with
-  | exception Sys_error e -> Error e
-  | Error e -> Error (Printf.sprintf "JSON parse error: %s" e)
-  | Ok (J.Obj fields) ->
-    Ok
-      (List.filter_map
-         (fun (k, v) ->
-           match v with
-           | J.Num n -> Some (k, n)
-           | _ -> None)
-         fields)
-  | Ok _ -> Error "expected a JSON object"
-
 let bench_diff fresh_dir baseline_dir experiments =
+  let module B = Sp_obs.Bench_diff in
   let experiments =
     if experiments <> [] then experiments
-    else
-      (* Default roster: every committed trajectory that has a fresh
-         counterpart to compare against. *)
-      Sys.readdir baseline_dir |> Array.to_list
-      |> List.filter_map (fun name ->
-             match Scanf.sscanf_opt name "BENCH_%s@.json%!" (fun e -> e) with
-             | Some e
-               when Sys.file_exists
-                      (Filename.concat fresh_dir ("BENCH_" ^ e ^ ".json")) ->
-               Some e
-             | Some _ | None -> None)
-      |> List.sort compare
+    else B.experiments ~baseline_dir ~fresh_dir
   in
   if experiments = [] then begin
     Printf.eprintf
@@ -1725,63 +1074,19 @@ let bench_diff fresh_dir baseline_dir experiments =
       baseline_dir fresh_dir;
     exit 2
   end;
-  let problems = ref [] in
-  let problem fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let metrics_checked = ref 0 in
-  List.iter
-    (fun e ->
-      let file dir = Filename.concat dir ("BENCH_" ^ e ^ ".json") in
-      match (bench_read_fields (file baseline_dir), bench_read_fields (file fresh_dir)) with
-      | Error err, _ -> problem "%s: baseline %s: %s" e (file baseline_dir) err
-      | _, Error err -> problem "%s: fresh %s: %s" e (file fresh_dir) err
-      | Ok base, Ok fresh ->
-        let keys l = List.sort compare (List.map fst l) in
-        if keys base <> keys fresh then
-          problem "%s: metric key sets differ (baseline: %s; fresh: %s)" e
-            (String.concat "," (keys base))
-            (String.concat "," (keys fresh));
-        List.iter
-          (fun (side, fields) ->
-            List.iter
-              (fun (k, v) ->
-                incr metrics_checked;
-                if not (Float.is_finite v) then
-                  problem "%s: %s %s is not finite (%g)" e side k v
-                else if bench_positive_key k && v <= 0.0 then
-                  problem "%s: %s %s must be positive, got %g" e side k v)
-              fields)
-          [ ("baseline", base); ("fresh", fresh) ];
-        List.iter
-          (fun (exp, key, floor) ->
-            if exp = e then
-              match List.assoc_opt key base with
-              | None -> problem "%s: baseline is missing %s" e key
-              | Some v ->
-                if v < floor then
-                  problem
-                    "%s: committed baseline %s = %g is below the %g floor \
-                     (perf rot in the committed trajectory)"
-                    e key v floor)
-          bench_baseline_floors;
-        List.iter
-          (fun (exp, key, bar) ->
-            if exp = e then
-              match List.assoc_opt key fresh with
-              | None -> problem "%s: fresh run is missing %s" e key
-              | Some v ->
-                if v < bar then
-                  problem "%s: fresh %s = %g is below the %g quick-mode bar"
-                    e key v bar)
-          bench_fresh_bars;
-        Printf.printf "%-4s %d metric(s) compared\n" e (List.length base))
-    experiments;
-  match List.rev !problems with
+  let o =
+    B.run ~floors:bench_baseline_floors ~bars:bench_fresh_bars ~baseline_dir
+      ~fresh_dir experiments
+  in
+  List.iter (fun (e, n) -> Printf.printf "%-4s %d metric(s) compared\n" e n) o.B.compared;
+  match o.B.problems with
   | [] ->
     Printf.printf "bench-diff: OK (%d experiment(s), %d metric value(s))\n"
-      (List.length experiments) !metrics_checked
+      (List.length experiments) o.B.values
   | problems ->
     List.iter (fun p -> Printf.eprintf "FAIL %s\n" p) problems;
     exit 1
+
 
 let bench_diff_cmd =
   let fresh =

@@ -82,13 +82,6 @@ let is_default t =
   t.st = Closed && t.errors = 0 && t.trips = 0 && t.probes = 0
   && t.opened_at = 0.0
 
-let reset t =
-  t.st <- Closed;
-  t.errors <- 0;
-  t.opened_at <- 0.0;
-  t.trips <- 0;
-  t.probes <- 0
-
 let state_code = function Closed -> 0 | Open -> 1 | Half_open -> 2
 
 let state_of_code = function

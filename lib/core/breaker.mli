@@ -80,9 +80,6 @@ val is_default : t -> bool
     to keep snapshots of never-degraded lanes byte-identical to
     pre-breaker snapshots. *)
 
-val reset : t -> unit
-(** Back to the freshly-created state (config retained). *)
-
 val state_json : t -> Sp_obs.Json.t
 (** Mutable state only — the config is supplied by the runtime at
     {!create} time and is not persisted. *)

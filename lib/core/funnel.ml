@@ -56,7 +56,7 @@ type lane_stats = {
 
 (* Tenant [i]'s shard slots are the contiguous range
    [offsets.(i) .. offsets.(i) + counts.(i) - 1] of the flattened
-   arrays; the single-tenant [create] is the one-range special case. *)
+   arrays. *)
 type t = {
   service : Inference.t;
   tracer : Tracer.t;
@@ -125,23 +125,18 @@ let create_multi ?(max_outbox = 64) ?(tracer = Tracer.null) ?degrade
     events;
   }
 
-let create ?max_outbox ?tracer ?degrade ?faults ?events ~shards service =
-  if shards < 1 then invalid_arg "Funnel.create: shards must be >= 1";
-  create_multi ?max_outbox ?tracer ?degrade ?faults ?events
-    ~tenant_shards:[| shards |] service
-
-let tenants t = Array.length t.counts
+let check_tenant name t tenant =
+  if tenant < 0 || tenant >= Array.length t.counts then
+    invalid_arg (name ^ ": tenant out of range")
 
 let slot name t ~tenant ~shard =
-  if tenant < 0 || tenant >= Array.length t.counts then
-    invalid_arg (name ^ ": tenant out of range");
+  check_tenant name t tenant;
   if shard < 0 || shard >= t.counts.(tenant) then
     invalid_arg (name ^ ": shard out of range");
   t.offsets.(tenant) + shard
 
 let lane_degraded t ~tenant =
-  if tenant < 0 || tenant >= Array.length t.counts then
-    invalid_arg "Funnel.lane_degraded: tenant out of range";
+  check_tenant "Funnel.lane_degraded" t tenant;
   Array.length t.lanes > 0 && t.lanes.(tenant).ln_degraded
 
 let endpoint_for t ~tenant ~shard =
@@ -150,14 +145,13 @@ let endpoint_for t ~tenant ~shard =
   {
     Inference.ep_request =
       (fun ~now:_ prog ~targets ->
-        if Array.length t.lanes > 0 && t.lanes.(tenant).ln_degraded then begin
-          (* Tripped breaker: refuse at the edge so nothing piles up in
-             the outbox while the lane sheds anyway. Counted as dropped —
-             the slot's refusal counter — like an overflowing outbox. *)
-          t.dropped.(s) <- t.dropped.(s) + 1;
-          false
-        end
-        else if Fqueue.length outbox >= t.max_outbox then begin
+        (* A tripped breaker refuses at the edge, so nothing piles up in
+           the outbox while the lane sheds anyway; counted as dropped —
+           the slot's refusal counter — like an overflowing outbox. *)
+        if
+          (Array.length t.lanes > 0 && t.lanes.(tenant).ln_degraded)
+          || Fqueue.length outbox >= t.max_outbox
+        then begin
           t.dropped.(s) <- t.dropped.(s) + 1;
           false
         end
@@ -166,17 +160,8 @@ let endpoint_for t ~tenant ~shard =
           Fqueue.push outbox (prog, targets);
           true
         end);
-    ep_poll =
-      (fun ~now:_ ->
-        let rec drain acc =
-          match Fqueue.pop_opt inbox with
-          | None -> List.rev acc
-          | Some p -> drain (p :: acc)
-        in
-        drain []);
+    ep_poll = (fun ~now:_ -> Fqueue.drain inbox);
   }
-
-let endpoint t ~shard = endpoint_for t ~tenant:0 ~shard
 
 (* Hash-keyed attempt bookkeeping with structural confirmation. *)
 let attempts_take ln h prog =
@@ -321,8 +306,7 @@ let flush_degraded t ~tenant ~now dg fresh =
   List.map (fun (prog, paths, _) -> (prog, paths)) completed
 
 let flush_tenant t ~tenant ~now =
-  if tenant < 0 || tenant >= Array.length t.counts then
-    invalid_arg "Funnel.flush_tenant: tenant out of range";
+  check_tenant "Funnel.flush_tenant" t tenant;
   (* Runs at the tenant's barrier on the scheduling domain — the
      tracer's only writer. *)
   Tracer.span t.tracer "funnel.flush" (fun () ->
@@ -333,14 +317,7 @@ let flush_tenant t ~tenant ~now =
           ~k:t.flush_seq.(tenant);
       let off = t.offsets.(tenant) and n = t.counts.(tenant) in
       let batch =
-        List.concat
-          (List.init n (fun i ->
-               let rec drain acc =
-                 match Fqueue.pop_opt t.outboxes.(off + i) with
-                 | None -> List.rev acc
-                 | Some r -> drain (r :: acc)
-               in
-               drain []))
+        List.concat (List.init n (fun i -> Fqueue.drain t.outboxes.(off + i)))
       in
       Tracer.counter t.tracer "funnel.batch_size"
         (float_of_int (List.length batch));
@@ -361,48 +338,35 @@ let flush_tenant t ~tenant ~now =
       done;
       List.length completed)
 
-let flush t ~now =
-  let total = ref 0 in
-  for tenant = 0 to Array.length t.counts - 1 do
-    total := !total + flush_tenant t ~tenant ~now
-  done;
-  !total
-
-let tenant_fold name t ~tenant arr =
-  if tenant < 0 || tenant >= Array.length t.counts then
-    invalid_arg (name ^ ": tenant out of range");
-  let off = t.offsets.(tenant) in
+(* [f s] summed over the tenant's shard slots. *)
+let tenant_sum name t ~tenant f =
+  check_tenant name t tenant;
   let acc = ref 0 in
-  for s = off to off + t.counts.(tenant) - 1 do
-    acc := !acc + arr.(s)
+  for s = t.offsets.(tenant) to t.offsets.(tenant) + t.counts.(tenant) - 1 do
+    acc := !acc + f s
   done;
   !acc
 
 let tenant_queue_depth t ~tenant =
-  if tenant < 0 || tenant >= Array.length t.counts then
-    invalid_arg "Funnel.tenant_queue_depth: tenant out of range";
-  let off = t.offsets.(tenant) in
-  let acc = ref 0 in
-  for s = off to off + t.counts.(tenant) - 1 do
-    acc := !acc + Fqueue.length t.outboxes.(s) + Fqueue.length t.inboxes.(s)
-  done;
-  (if Array.length t.lanes > 0 then
-     acc := !acc + List.length t.lanes.(tenant).ln_retries);
-  !acc
+  let queued =
+    tenant_sum "Funnel.tenant_queue_depth" t ~tenant (fun s ->
+        Fqueue.length t.outboxes.(s) + Fqueue.length t.inboxes.(s))
+  in
+  queued
+  + if Array.length t.lanes > 0 then List.length t.lanes.(tenant).ln_retries else 0
 
 let tenant_deferred t ~tenant =
-  tenant_fold "Funnel.tenant_deferred" t ~tenant t.deferred
+  tenant_sum "Funnel.tenant_deferred" t ~tenant (Array.get t.deferred)
 
 let tenant_dropped t ~tenant =
-  tenant_fold "Funnel.tenant_dropped" t ~tenant t.dropped
+  tenant_sum "Funnel.tenant_dropped" t ~tenant (Array.get t.dropped)
 
 let requests_deferred t = Array.fold_left ( + ) 0 t.deferred
 
 let dropped t = Array.fold_left ( + ) 0 t.dropped
 
 let lane_stats t ~tenant ~now =
-  if tenant < 0 || tenant >= Array.length t.counts then
-    invalid_arg "Funnel.lane_stats: tenant out of range";
+  check_tenant "Funnel.lane_stats" t tenant;
   if Array.length t.lanes = 0 then None
   else
     let ln = t.lanes.(tenant) in

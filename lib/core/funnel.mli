@@ -5,13 +5,14 @@
     service mid-epoch would make admission order (and therefore the
     queue/cache state) depend on thread scheduling, so the funnel defers
     everything to the snapshot barrier: during an epoch each shard's
-    {!endpoint} only appends requests to that shard's private outbox and
-    drains predictions from that shard's private inbox — no cross-domain
-    contention, no locks. At the barrier (on the main domain, via
-    [Campaign.create_instance ~on_barrier]) {!flush} forwards the outboxes
-    to the service in shard order as one {!Inference.request_batch} and
-    broadcasts every completed prediction to all inboxes, keeping the
-    run bit-for-bit reproducible given [(seed, jobs)].
+    {!endpoint_for} view only appends requests to that shard's private
+    outbox and drains predictions from that shard's private inbox — no
+    cross-domain contention, no locks. At the barrier (on the main
+    domain, via [Campaign.create_instance ~on_barrier]) {!flush_tenant}
+    forwards the outboxes to the service in shard order as one
+    {!Inference.request_batch} and broadcasts every completed prediction
+    to all inboxes, keeping the run bit-for-bit reproducible given
+    [(seed, jobs)]. [Launch.snowplow_lane] is that wiring.
 
     Predictions are broadcast (rather than routed to the requesting
     shard) because shards frequently mutate the same corpus entries: a
@@ -20,12 +21,12 @@
 
     {b Multi-tenancy.} {!create_multi} gives each of N campaigns its own
     lane — a private range of shard slots — over the single shared
-    service. Requests are tagged with the tenant index
-    ({!Inference.request_batch}'s [tag]) and {!flush_tenant} polls only
-    that tag, so one tenant's barrier can never steal (or observe)
-    another's completions: each tenant's prediction stream depends only
-    on its own request history, never on the schedule. [create ~shards]
-    is the one-tenant special case.
+    service; a solo campaign is the one-lane case. Requests are tagged
+    with the tenant index ({!Inference.request_batch}'s [tag]) and
+    {!flush_tenant} polls only that tag, so one tenant's barrier can
+    never steal (or observe) another's completions: each tenant's
+    prediction stream depends only on its own request history, never on
+    the schedule.
 
     {b Degradation.} With [degrade] armed, each tenant lane owns a
     {!Breaker} and a retry ledger: at every flush, requests older than
@@ -64,21 +65,6 @@ type lane_stats = {
   ls_retries_pending : int;
 }
 
-val create :
-  ?max_outbox:int ->
-  ?tracer:Sp_obs.Tracer.t ->
-  ?degrade:degrade ->
-  ?faults:Sp_util.Faults.t ->
-  ?events:Sp_obs.Events.t ->
-  shards:int ->
-  Inference.t ->
-  t
-(** [max_outbox] (default 64) bounds each shard's per-epoch outbox;
-    requests beyond it are refused exactly like a full service queue.
-    [tracer] (default disabled) records a [funnel.flush] span and a
-    [funnel.batch_size] counter per {!flush}; it must be owned by the
-    domain calling [flush] (the campaign's main domain). *)
-
 val create_multi :
   ?max_outbox:int ->
   ?tracer:Sp_obs.Tracer.t ->
@@ -91,6 +77,12 @@ val create_multi :
 (** One lane per tenant: [tenant_shards.(i)] is tenant [i]'s shard
     count. Raises [Invalid_argument] on an empty array or a shard count
     < 1.
+
+    [max_outbox] (default 64) bounds each shard's per-epoch outbox;
+    requests beyond it are refused exactly like a full service queue.
+    [tracer] (default disabled) records a [funnel.flush] span and a
+    [funnel.batch_size] counter per {!flush_tenant}; it must be owned by
+    the domain calling [flush_tenant] (the one running the barriers).
 
     [degrade] (default off) arms the per-lane breaker/retry machinery.
     [faults] (default {!Sp_util.Faults.disabled}) arms injection sites,
@@ -107,19 +99,10 @@ val create_multi :
     and [funnel.reclaim] (stalled requests pulled back from the
     service, Warn). *)
 
-val tenants : t -> int
-
-val endpoint : t -> shard:int -> Inference.endpoint
-(** [endpoint_for ~tenant:0]. *)
-
 val endpoint_for : t -> tenant:int -> shard:int -> Inference.endpoint
 (** The view handed to tenant [tenant]'s shard [shard]'s strategy. Must
     only be used from the domain running that shard — per-shard state is
     unsynchronized by design. *)
-
-val flush : t -> now:float -> int
-(** {!flush_tenant} for every tenant in index order; returns the total
-    number of predictions delivered. *)
 
 val flush_tenant : t -> tenant:int -> now:float -> int
 (** Forward the tenant's outboxes (shard order) to the service as one

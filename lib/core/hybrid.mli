@@ -57,9 +57,10 @@ val strategy_with :
   Sp_kernel.Kernel.t ->
   Sp_fuzz.Strategy.t
 (** Like {!strategy}, but against any {!Inference.endpoint} — in parallel
-    campaigns each shard's strategy is built over its {!Funnel.endpoint}
-    view of one shared service. Every instance owns its prediction memo
-    (a private one unless [predictions] hands it one to make it
+    campaigns each shard's strategy is built over its
+    {!Funnel.endpoint_for} view of one shared service (see
+    {!Launch.snowplow_lane}). Every instance owns its prediction memo (a
+    private one unless [predictions] hands it one to make it
     snapshot-persistable), so instances never share mutable state.
 
     [degraded] (default [fun () -> false]) is polled once per propose;

@@ -272,8 +272,6 @@ let top_k t ~covered prog ~k =
   Array.sort (fun a b -> compare s.(b) s.(a)) idx;
   Array.to_list (Array.sub idx 0 (min k t.num_sys))
 
-let predict t ~covered prog = List.hd (top_k t ~covered prog ~k:1)
-
 let accuracy t ~covered examples ~k =
   match examples with
   | [] -> 0.0

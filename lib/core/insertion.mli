@@ -56,9 +56,6 @@ val scores : t -> covered:Sp_util.Bitset.t -> Sp_syzlang.Prog.t -> float array
 (** A probability per syscall id: how promising is inserting it into this
     base test. *)
 
-val predict : t -> covered:Sp_util.Bitset.t -> Sp_syzlang.Prog.t -> int
-(** The argmax syscall id. *)
-
 val top_k : t -> covered:Sp_util.Bitset.t -> Sp_syzlang.Prog.t -> k:int -> int list
 
 val accuracy :

@@ -28,6 +28,21 @@ let default_config =
     trainer = Trainer.default_config;
   }
 
+let quick_config =
+  {
+    default_config with
+    kernel_seed = 19;
+    gen_bases = 40;
+    corpus_bases = 40;
+    warmup_duration = 900.0;
+    dataset = { Dataset.default_config with mutations_per_base = 200 };
+    encoder = { Encoder.default_config with steps = 600 };
+    trainer = { Trainer.default_config with epochs = 4; log_every = 0 };
+  }
+
+let env_config () =
+  if Sys.getenv_opt "SNOWPLOW_QUICK" = None then default_config else quick_config
+
 type t = {
   config : config;
   kernel : Kernel.t;

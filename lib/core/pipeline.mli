@@ -23,6 +23,15 @@ val default_config : config
 (** 80 generated + 120 corpus bases, 1 virtual hour of warm-up, and the
     component defaults. *)
 
+val quick_config : config
+(** Integration-test scale — 40 generated + 40 corpus bases, 15 virtual
+    minutes of warm-up, 200 mutations per base, 600 encoder steps and 4
+    epochs: a poor model in seconds, through the same plumbing. *)
+
+val env_config : unit -> config
+(** {!quick_config} when [SNOWPLOW_QUICK] is set (the CI smokes), else
+    {!default_config}: what [serve], [train] and the benches train. *)
+
 type t = {
   config : config;
   kernel : Sp_kernel.Kernel.t;  (** the training kernel *)

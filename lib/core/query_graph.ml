@@ -42,17 +42,6 @@ let edge_kind_index = function
   | Cf_frontier -> 7
   | Handler -> 8
 
-let edge_kind_to_string = function
-  | Call_order -> "call-order"
-  | Contains -> "contains"
-  | Arg_order -> "arg-order"
-  | Res_flow -> "res-flow"
-  | Ctx_entry -> "ctx-entry"
-  | Ctx_exit -> "ctx-exit"
-  | Cf_covered -> "cf-covered"
-  | Cf_frontier -> "cf-frontier"
-  | Handler -> "handler"
-
 type t = {
   nodes : node array;
   edges : (int * int * edge_kind) array;

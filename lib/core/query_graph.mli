@@ -41,8 +41,6 @@ val num_edge_kinds : int
 
 val edge_kind_index : edge_kind -> int
 
-val edge_kind_to_string : edge_kind -> string
-
 type t = {
   nodes : node array;
   edges : (int * int * edge_kind) array;  (** (src, dst, kind) *)

@@ -107,6 +107,24 @@ let tenant_status_json ts =
       ("retries", Json.Num (float_of_int ts.ts_retries))
     ]
 
+let summary_json ~faults_injected r =
+  let n x = Json.Num (float_of_int x) in
+  let tenant tr =
+    Json.Obj
+      [ ("name", Json.Str tr.tr_name); ("weight", Json.Num tr.tr_weight);
+        ("slices", n tr.tr_slices); ("executions", n tr.tr_executions);
+        ("crashes", n (List.length tr.tr_report.Campaign.crashes));
+        ("corpus_size", n tr.tr_report.Campaign.corpus_size);
+        ("completed", Json.Bool tr.tr_completed);
+        ("quarantined", Json.Bool tr.tr_quarantined);
+        ("budget_exhausted", Json.Bool tr.tr_budget_exhausted);
+        ("retries", n tr.tr_retries); ("failures", n (List.length tr.tr_failures)) ]
+  in
+  Json.Obj
+    [ ("slices", n r.sr_slices); ("workers", n r.sr_workers);
+      ("faults_injected", n faults_injected);
+      ("tenants", Json.Arr (List.map tenant r.sr_tenants)) ]
+
 (* State name -> gauge code for the snowplow_tenant_state series. *)
 let state_code = function
   | "healthy" -> 0.0

@@ -8,7 +8,7 @@
     slice at a time (see {!Campaign.begin_slice}) over a single
     {!Sp_util.Pool}. Snowplow tenants additionally share one warm
     [Snowplow.Funnel]-backed inference endpoint via their barrier hooks;
-    the CLI's [serve] command wires that up.
+    [Snowplow.Launch] wires that up for [serve].
 
     {b Determinism.} A tenant's slice runs against its own barrier-frozen
     state and merges on the scheduling domain in shard order, so its
@@ -118,6 +118,11 @@ type report = {
           pool's [pool.*] metrics (merged after shutdown) *)
 }
 
+val summary_json : faults_injected:int -> report -> Sp_obs.Json.t
+(** The [serve --summary-json] document: run totals and one object per
+    tenant, derived from the report only, so identical runs give
+    identical bytes. *)
+
 type tenant_status = {
   ts_name : string;
   ts_weight : float;
@@ -149,9 +154,9 @@ val telemetry :
   Sp_obs.Exporter.t ->
   telemetry
 (** [extra] (default none) is called on the scheduling domain at each
-    publication — the hook the CLI uses to append inference/funnel/
-    trainer series the scheduler itself cannot see. It must read only
-    barrier-stable state. *)
+    publication — the hook [serve] uses to append [Snowplow.Launch.gauges]
+    (inference, funnel and trainer series the scheduler itself cannot
+    see). It must read only barrier-stable state. *)
 
 val run :
   ?workers:int ->

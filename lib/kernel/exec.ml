@@ -550,8 +550,6 @@ let execute_raw ?noise code st (prog : Prog.t) =
 (* Scratch views and materialization                                   *)
 (* ------------------------------------------------------------------ *)
 
-let scratch_code st = st.code
-
 let crashed st = st.crash_bug >= 0
 
 let crash_of_scratch st =

@@ -5,8 +5,9 @@
     the argument image, and the scratch-ownership contract. {!Kernel} wraps
     this module; campaign code reaches it through [Kernel]'s re-exports
     rather than directly. The reference tree-walking interpreter this was
-    compiled from survives as {!Reference} and must stay observationally
-    identical (a differential property test enforces it). *)
+    compiled from survives as the test-only [Oracle.Kernel_reference] and
+    must stay observationally identical (a differential property test
+    enforces it). *)
 
 (** {1 Results} — re-exported by {!Kernel} *)
 
@@ -53,8 +54,6 @@ val execute_raw :
 
     Valid until the next [execute_raw] on the same scratch; the stampset
     views are invalidated in O(1) by that next run. *)
-
-val scratch_code : scratch -> code
 
 val crashed : scratch -> bool
 

@@ -26,9 +26,6 @@ type predicate =
     }
   | Res_valid of { path : int list; name : string }
 
-let predicate_name = function
-  | Arg { name; _ } | Res_state { name; _ } | Res_valid { name; _ } -> name
-
 let pp_predicate ppf = function
   | Arg { path; name; cmp; const } ->
     Format.fprintf ppf "arg[%s](%s) %s %d"

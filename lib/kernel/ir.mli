@@ -32,8 +32,6 @@ type predicate =
   | Res_valid of { path : int list; name : string }
       (** does the resource argument refer to a live object? *)
 
-val predicate_name : predicate -> string
-
 val pp_predicate : Format.formatter -> predicate -> unit
 
 type terminator =

@@ -57,8 +57,6 @@ let bug t i = t.built.Build.bugs.(i)
 
 let bug_gate t i = t.built.Build.bug_gates.(i)
 
-let background_blocks t = t.built.Build.background
-
 type kobject = Exec.kobject = { okind : string; mode : int; oflags : int }
 
 type crash = Exec.crash = { bug : Bug.t; crash_call : int }

@@ -7,8 +7,8 @@
     compiled: at generation time every handler CFG is lowered to {!Exec}
     bytecode (pre-resolved predicate slots, precomputed edge ids), and the
     hot path runs against a reusable {!scratch} with zero steady-state
-    allocation. {!Reference} keeps the original tree-walking interpreter
-    as an oracle. *)
+    allocation. The original tree-walking interpreter survives as the
+    test-only oracle [Oracle.Kernel_reference]. *)
 
 type t
 
@@ -32,7 +32,7 @@ val version : t -> string
 val spec_db : t -> Sp_syzlang.Spec.db
 
 val built : t -> Build.built
-(** The raw generated artifacts. For the {!Reference} oracle and offline
+(** The raw generated artifacts. For the reference oracle and offline
     analyses; campaign code should use the typed accessors below. *)
 
 val cfg : t -> Sp_cfg.Cfg.t
@@ -53,8 +53,6 @@ val bug : t -> int -> Bug.t
 val bug_gate : t -> int -> Ir.predicate list
 (** Ground-truth gate predicates of a bug (for tests and analyses only; the
     fuzzers never see this). *)
-
-val background_blocks : t -> int list
 
 (** {1 Execution} *)
 

@@ -2,8 +2,6 @@ module Rng = Sp_util.Rng
 module Ty = Sp_syzlang.Ty
 module Spec = Sp_syzlang.Spec
 
-let resource_kinds = [ "fd"; "sock"; "pipefd"; "timerfd"; "ring"; "kobj" ]
-
 (* name, produced resource kind, consumed resource kind. Producers come
    first per kind so consumers always have a producer available. *)
 let catalog =

@@ -8,8 +8,6 @@
     seed. All kernel "versions" share one interface, mirroring the stability
     of the Linux syscall ABI across 6.8–6.10. *)
 
-val resource_kinds : string list
-
 val generate : Sp_util.Rng.t -> num_syscalls:int -> Sp_syzlang.Spec.db
 (** At most the catalog size (currently 48) syscalls; the first entries
     always include [open] and [read] so examples match the paper's

@@ -8,7 +8,7 @@
    deterministic stripe-order gradient reduction.
 
    The math (MSE over a 2-layer ReLU MLP, Adam) deliberately matches
-   Reference.Mlp operation for operation: the batched matmul kernels
+   Oracle.Ml_reference.Mlp operation for operation: the batched matmul kernels
    accumulate in the same ascending-row order as the per-sample loops,
    so test_ml_diff can pin the two end to end. *)
 

@@ -10,7 +10,7 @@
     with gradients reduced in stripe order — byte-deterministic for a
     fixed (seed, stripe count).
 
-    The math matches {!Reference.Mlp} operation for operation (the
+    The math matches [Oracle.Ml_reference.Mlp] operation for operation (the
     batched kernels accumulate in the per-sample loop's order), which is
     what bench/exp_ml's ≥3x training-throughput bar compares against and
     test/test_ml_diff pins. *)
@@ -24,7 +24,7 @@ type plan
 val create :
   Sp_util.Rng.t -> d_in:int -> hidden:int -> d_out:int -> lr:float -> t
 (** Glorot-initialized, Adam with betas (0.9, 0.999), eps 1e-8. The same
-    [rng] draw order as {!Reference.Mlp.create}, so equal seeds give
+    [rng] draw order as [Oracle.Ml_reference.Mlp.create], so equal seeds give
     equal initial weights. *)
 
 val params : t -> Tensor.t list

@@ -40,7 +40,5 @@ module Embedding = struct
   let clone_shared t = { table = Ad.param (Ad.value t.table); dim = t.dim }
 end
 
-let zero_grads params = List.iter Ad.zero_grad params
-
 let num_parameters params =
   List.fold_left (fun acc p -> acc + Tensor.numel (Ad.value p)) 0 params

@@ -41,6 +41,4 @@ module Embedding : sig
   (** See {!Linear.clone_shared}. *)
 end
 
-val zero_grads : Ad.t list -> unit
-
 val num_parameters : Ad.t list -> int

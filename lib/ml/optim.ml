@@ -72,6 +72,4 @@ let step t =
 
 let zero_grad t = Array.iter Ad.zero_grad t.params
 
-let set_lr t lr = t.lr <- lr
-
 let lr t = t.lr

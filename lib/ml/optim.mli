@@ -20,6 +20,4 @@ val step : t -> unit
 
 val zero_grad : t -> unit
 
-val set_lr : t -> float -> unit
-
 val lr : t -> float

@@ -4,8 +4,9 @@
 
    - Float semantics are frozen: every op performs the same IEEE
      operations in the same order as the original float-array core
-     (kept as {!Reference}), including the [av <> 0.0] skip in matmul
-     and ascending-index RNG draws in the initializers, so models,
+     (kept as the test oracle Oracle.Ml_reference), including the
+     [av <> 0.0] skip in matmul and ascending-index RNG draws in the
+     initializers, so models,
      serialized weights and campaign results are byte-identical across
      the storage swap. test/test_ml_diff pins this.
 
@@ -304,16 +305,3 @@ let equal a b =
   &&
   let rec go i = i >= numel a || (a.data.{i} = b.data.{i} && go (i + 1)) in
   go 0
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to min (t.rows - 1) 7 do
-    Format.fprintf ppf "[";
-    for j = 0 to min (t.cols - 1) 11 do
-      Format.fprintf ppf "%8.4f " (get t i j)
-    done;
-    Format.fprintf ppf "%s]@,"
-      (if t.cols > 12 then "..." else "")
-  done;
-  if t.rows > 8 then Format.fprintf ppf "...@,";
-  Format.fprintf ppf "(%dx%d)@]" t.rows t.cols

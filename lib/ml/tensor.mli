@@ -11,9 +11,9 @@
     generations), so wrapping a train/inference step in
     [Workspace.with_active] makes the whole stack reuse warm buffers.
 
-    Float semantics are frozen against {!Reference}: same IEEE
-    operations, same order — swapping the storage changed no result
-    byte. *)
+    Float semantics are frozen against the test oracle
+    [Oracle.Ml_reference]: same IEEE operations, same order — swapping
+    the storage changed no result byte. *)
 
 type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -124,5 +124,3 @@ val frobenius : t -> float
 (** L2 norm of all entries. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

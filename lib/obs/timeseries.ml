@@ -101,3 +101,11 @@ let of_jsonl text =
       | Ok _ -> Error (Printf.sprintf "line %d: expected an object" i))
   in
   go 1 lines
+
+let write_file t path =
+  Io.write_atomic path
+    (if Filename.check_suffix path ".csv" then to_csv t else to_jsonl t)
+
+let missing t names =
+  let have = columns t in
+  List.filter (fun n -> not (List.mem n have)) names

@@ -26,6 +26,10 @@ val length : t -> int
 val columns : t -> string list
 (** Without the implicit time column; first-seen order. *)
 
+val missing : t -> string list -> string list
+(** The given column names the series lacks, in order — what
+    [snowplow stats --expect-series] fails on. *)
+
 val rows : t -> (float * (string * float) list) list
 (** Chronological. *)
 
@@ -41,6 +45,10 @@ val to_jsonl : t -> string
 val to_csv : t -> string
 (** Header [t,<col>,...] then one row per sample; absent values are
     empty cells. *)
+
+val write_file : t -> string -> unit
+(** {!to_csv} when the path ends in [.csv], else {!to_jsonl}, written
+    atomically. *)
 
 val of_jsonl : string -> (t, string) result
 (** Parse {!to_jsonl} output (tolerates a trailing newline). Every line

@@ -196,3 +196,13 @@ let has_span summary name =
 
 let has_counter summary name =
   List.exists (fun c -> String.equal c.counter name) summary.counter_stats
+
+let problems ~strict ~expect_spans s =
+  (if strict && s.dropped <> [] then
+     [ Printf.sprintf "%d event(s) dropped from bounded rings" (total_dropped s) ]
+   else [])
+  @ List.filter_map
+      (fun name ->
+        if has_span s name then None
+        else Some (Printf.sprintf "expected span %S missing" name))
+      expect_spans

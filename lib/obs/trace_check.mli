@@ -44,3 +44,9 @@ val validate : Json.t -> (summary, string) result
 val has_span : summary -> string -> bool
 
 val has_counter : summary -> string -> bool
+
+val problems : strict:bool -> expect_spans:string list -> summary -> string list
+(** What [snowplow stats --check] fails a valid trace for, empty when it
+    passes: under [strict], events dropped from any bounded ring (the
+    span tables under-count), and every expected span that never
+    occurs. *)

@@ -13,8 +13,6 @@ let path_to_string p =
   Printf.sprintf "c%d.%s" p.call
     (String.concat "." (List.map string_of_int p.arg))
 
-let pp_path ppf p = Format.pp_print_string ppf (path_to_string p)
-
 (* Length fixing: a [Len i] field mirrors the length of the sibling argument
    at index [i] within the same argument list (top level or struct). *)
 

@@ -17,8 +17,6 @@ val path_compare : path -> path -> int
 
 val path_to_string : path -> string
 
-val pp_path : Format.formatter -> path -> unit
-
 (** {1 Construction} *)
 
 val make_call : Sp_util.Rng.t -> Spec.t -> call

@@ -37,17 +37,6 @@ let all db = Array.to_list db.ordered
 let producers_of db kind =
   List.filter (fun s -> s.ret = Some kind) (all db)
 
-let rec count_nodes (ty : Ty.t) =
-  match ty with
-  | Ptr inner -> 1 + count_nodes inner
-  | Struct fields ->
-    1 + List.fold_left (fun acc f -> acc + count_nodes f.Ty.fty) 0 fields
-  | Const _ | Int _ | Flags _ | Enum _ | Len _ | Buffer _ | Str _ | Resource _
-    -> 1
-
-let arg_count t =
-  List.fold_left (fun acc f -> acc + count_nodes f.Ty.fty) 0 t.args
-
 let pp ppf t =
   Format.fprintf ppf "%s(%a)%s" t.name
     (Format.pp_print_list

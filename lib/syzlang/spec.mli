@@ -32,8 +32,4 @@ val all : db -> t list
 val producers_of : db -> string -> t list
 (** Specs whose return produces the given resource kind. *)
 
-val arg_count : t -> int
-(** Total number of argument nodes (all nesting levels), i.e. the size of the
-    mutation localization space for this call. *)
-
 val pp : Format.formatter -> t -> unit

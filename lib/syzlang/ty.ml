@@ -30,12 +30,6 @@ let all_kind_tokens =
   [ "const"; "int"; "flags"; "enum"; "len"; "buffer"; "string"; "ptr";
     "struct"; "resource" ]
 
-let arity = function
-  | Ptr _ -> 1
-  | Struct fields -> List.length fields
-  | Const _ | Int _ | Flags _ | Enum _ | Len _ | Buffer _ | Str _ | Resource _
-    -> 0
-
 let rec pp ppf = function
   | Const v -> Format.fprintf ppf "const[%d]" v
   | Int { bits; lo; hi } -> Format.fprintf ppf "int%d[%d:%d]" bits lo hi

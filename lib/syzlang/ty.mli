@@ -34,9 +34,6 @@ val kind_token : t -> string
 val all_kind_tokens : string list
 (** Every possible [kind_token] result, for building embedding tables. *)
 
-val arity : t -> int
-(** Number of immediate children (struct fields; 1 under a pointer). *)
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

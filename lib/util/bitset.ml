@@ -48,8 +48,6 @@ let is_empty t =
   in
   go 0
 
-let clear t = Bytes.fill t.words 0 (Bytes.length t.words) '\000'
-
 let check_same a b =
   if a.capacity <> b.capacity then invalid_arg "Bitset: capacity mismatch"
 

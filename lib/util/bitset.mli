@@ -24,8 +24,6 @@ val cardinal : t -> int
 
 val is_empty : t -> bool
 
-val clear : t -> unit
-
 val union_into : dst:t -> t -> int
 (** [union_into ~dst src] adds all of [src] to [dst]; returns the number of
     bits newly set in [dst]. Capacities must match. *)

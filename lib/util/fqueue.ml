@@ -47,6 +47,11 @@ let clear t =
   t.back <- [];
   t.len <- 0
 
+let drain t =
+  let all = to_list t in
+  clear t;
+  all
+
 let iter f t =
   List.iter f t.front;
   List.iter f (List.rev t.back)

@@ -29,6 +29,9 @@ val of_list : 'a list -> 'a t
 
 val clear : 'a t -> unit
 
+val drain : 'a t -> 'a list
+(** Remove every element, returned oldest first. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 (** Oldest first. *)
 

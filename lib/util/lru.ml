@@ -87,8 +87,6 @@ let find t ~now k =
       Some node.value
     end
 
-let mem t ~now k = find t ~now k <> None
-
 let evict_tail t =
   match t.tail with
   | None -> ()

@@ -22,8 +22,6 @@ val find : ('k, 'v) t -> now:float -> 'k -> 'v option
 (** TTL-checked lookup; an expired entry is dropped and reported as a
     miss. A hit moves the entry to most-recently-used. *)
 
-val mem : ('k, 'v) t -> now:float -> 'k -> bool
-
 val put : ('k, 'v) t -> now:float -> 'k -> 'v -> unit
 (** Insert or overwrite; resets the entry's TTL stamp. Evicts the least
     recently used entry when the cache is full. *)

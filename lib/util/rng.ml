@@ -10,8 +10,6 @@ let mix64 z =
 
 let create seed = { state = mix64 (Int64.of_int seed) }
 
-let copy t = { state = t.state }
-
 let state t = t.state
 
 let set_state t s = t.state <- s

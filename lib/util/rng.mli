@@ -11,9 +11,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. *)
 
-val copy : t -> t
-(** [copy t] duplicates the generator state; the copy evolves separately. *)
-
 val state : t -> int64
 (** The full internal state. [state]/[set_state]/[of_state] exist so that
     campaign snapshots can persist and later resume a stream exactly:

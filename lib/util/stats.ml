@@ -37,27 +37,3 @@ let median xs = percentile xs 50.0
 let geomean = function
   | [] -> 0.0
   | xs -> exp (mean (List.map log xs))
-
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  median : float;
-}
-
-let summarize xs =
-  let lo, hi = min_max xs in
-  {
-    n = List.length xs;
-    mean = mean xs;
-    stddev = stddev xs;
-    min = lo;
-    max = hi;
-    median = median xs;
-  }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f max=%.3f" s.n
-    s.mean s.stddev s.min s.median s.max

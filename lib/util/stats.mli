@@ -19,17 +19,3 @@ val sum : float list -> float
 
 val geomean : float list -> float
 (** Geometric mean of positive values; 0 for the empty list. *)
-
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  median : float;
-}
-
-val summarize : float list -> summary
-(** Raises [Invalid_argument] on the empty list. *)
-
-val pp_summary : Format.formatter -> summary -> unit

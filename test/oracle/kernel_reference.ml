@@ -8,6 +8,9 @@
 
 module Rng = Sp_util.Rng
 module Bitset = Sp_util.Bitset
+module Build = Sp_kernel.Build
+module Exec = Sp_kernel.Exec
+module Ir = Sp_kernel.Ir
 module Spec = Sp_syzlang.Spec
 module Value = Sp_syzlang.Value
 module Prog = Sp_syzlang.Prog

@@ -1,5 +1,5 @@
 (* The pre-Bigarray tensor core, kept verbatim as a differential oracle
-   (mirroring Sp_kernel.Reference): boxed records over [float array],
+   (mirroring Oracle.Kernel_reference): boxed records over [float array],
    every operation allocating its result. test/test_ml_diff pins the
    Bigarray core against this implementation, and bench/exp_ml uses the
    [Mlp] trainer below as the pre-optimization baseline. *)
@@ -12,7 +12,7 @@ let make rows cols v = { rows; cols; data = Array.make (rows * cols) v }
 
 let of_array ~rows ~cols data =
   if Array.length data <> rows * cols then
-    invalid_arg "Reference.of_array: size mismatch";
+    invalid_arg "Ml_reference.of_array: size mismatch";
   { rows; cols; data }
 
 let copy t = { t with data = Array.copy t.data }
@@ -55,7 +55,7 @@ let add_into ~dst src =
         dst.data.(base + j) <- dst.data.(base + j) +. src.data.(j)
       done
     done
-  else invalid_arg "Reference.add_into: shape mismatch"
+  else invalid_arg "Ml_reference.add_into: shape mismatch"
 
 let add a b =
   let r = copy a in
@@ -63,11 +63,11 @@ let add a b =
   r
 
 let sub a b =
-  if not (same_shape a b) then invalid_arg "Reference.sub: shape mismatch";
+  if not (same_shape a b) then invalid_arg "Ml_reference.sub: shape mismatch";
   { a with data = Array.init (numel a) (fun i -> a.data.(i) -. b.data.(i)) }
 
 let mul a b =
-  if not (same_shape a b) then invalid_arg "Reference.mul: shape mismatch";
+  if not (same_shape a b) then invalid_arg "Ml_reference.mul: shape mismatch";
   { a with data = Array.init (numel a) (fun i -> a.data.(i) *. b.data.(i)) }
 
 let scale s t = { t with data = Array.map (fun x -> s *. x) t.data }
@@ -76,7 +76,7 @@ let map f t = { t with data = Array.map f t.data }
 
 let matmul_into ~dst a b =
   if a.cols <> b.rows || dst.rows <> a.rows || dst.cols <> b.cols then
-    invalid_arg "Reference.matmul_into: shape mismatch";
+    invalid_arg "Ml_reference.matmul_into: shape mismatch";
   let n = a.rows and k = a.cols and m = b.cols in
   for i = 0 to n - 1 do
     let abase = i * k and dbase = i * m in
@@ -98,7 +98,7 @@ let matmul a b =
 
 let matmul_tn a b =
   (* (a^T b): a is k x n, b is k x m, result n x m. *)
-  if a.rows <> b.rows then invalid_arg "Reference.matmul_tn: shape mismatch";
+  if a.rows <> b.rows then invalid_arg "Ml_reference.matmul_tn: shape mismatch";
   let k = a.rows and n = a.cols and m = b.cols in
   let dst = create n m in
   for l = 0 to k - 1 do
@@ -117,7 +117,7 @@ let matmul_tn a b =
 
 let matmul_nt a b =
   (* (a b^T): a is n x k, b is m x k, result n x m. *)
-  if a.cols <> b.cols then invalid_arg "Reference.matmul_nt: shape mismatch";
+  if a.cols <> b.cols then invalid_arg "Ml_reference.matmul_nt: shape mismatch";
   let n = a.rows and k = a.cols and m = b.rows in
   let dst = create n m in
   for i = 0 to n - 1 do

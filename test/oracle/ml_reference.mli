@@ -1,8 +1,8 @@
 (** The pre-Bigarray float-array tensor core, kept as a differential
-    oracle (like {!Sp_kernel.Reference} for the executor). Semantics are
+    oracle (like {!Kernel_reference} for the executor). Semantics are
     frozen: every operation performs the exact float operations, in the
     exact order, of the original implementation, so the Bigarray
-    {!Tensor} can be pinned against it element for element. *)
+    {!Sp_ml.Tensor} can be pinned against it element for element. *)
 
 type t = private { rows : int; cols : int; data : float array }
 

@@ -1,6 +1,6 @@
 (* Differential and scratch-contract tests for the compiled executor
    (Sp_kernel.Exec) against the tree-walking reference interpreter
-   (Sp_kernel.Reference). The bytecode path is the one every fuzzing
+   (Oracle.Kernel_reference). The bytecode path is the one every fuzzing
    campaign runs, so its semantics are pinned to the oracle over a large
    randomized space: kernel configs, programs, noise seeds, crashes, and
    resource-state predicates all mixed in. *)
@@ -9,7 +9,7 @@ module Rng = Sp_util.Rng
 module Bitset = Sp_util.Bitset
 module Stampset = Sp_util.Stampset
 module Kernel = Sp_kernel.Kernel
-module Reference = Sp_kernel.Reference
+module Reference = Oracle.Kernel_reference
 module Build = Sp_kernel.Build
 module Prog = Sp_syzlang.Prog
 module Gen = Sp_syzlang.Gen

@@ -1,5 +1,5 @@
 (* Differential tests pinning the Bigarray tensor core against the
-   frozen float-array core (Sp_ml.Reference). The contract is strong:
+   frozen float-array core (Oracle.Ml_reference). The contract is strong:
    every op performs the same IEEE operations in the same order, so
    results are required to be BIT-identical, not merely close — that is
    what keeps serialized weights and campaign results stable across the
@@ -10,7 +10,7 @@
 module Rng = Sp_util.Rng
 module Pool = Sp_util.Pool
 module Tensor = Sp_ml.Tensor
-module Reference = Sp_ml.Reference
+module Reference = Oracle.Ml_reference
 module Dense = Sp_ml.Dense
 module Ad = Sp_ml.Ad
 module Workspace = Sp_ml.Workspace

@@ -662,6 +662,161 @@ let test_exporter_concurrent_scrapes () =
     Exporter.stop ex
 
 (* ------------------------------------------------------------------ *)
+(* stats rules, top scrape check, bench-diff comparison                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_stats_rules () =
+  let trace = Trace.create ~capacity:8 ~enabled:true () in
+  let tr = Trace.tracer trace ~pid:0 ~name:"main" in
+  for _ = 1 to 20 do
+    Tracer.span tr "epoch" (fun () -> ())
+  done;
+  let s = validated trace in
+  check
+    Alcotest.(list string)
+    "dropped events pass --check" []
+    (Trace_check.problems ~strict:false ~expect_spans:[ "epoch" ] s);
+  check
+    Alcotest.(list string)
+    "--strict fails them; a missing span fails either way"
+    [ "32 event(s) dropped from bounded rings"; "expected span \"merge\" missing" ]
+    (Trace_check.problems ~strict:true ~expect_spans:[ "epoch"; "merge" ] s);
+  let ts = Timeseries.create () in
+  Timeseries.sample ts ~time:1.0 [ ("edges", 3.0) ];
+  check
+    Alcotest.(list string)
+    "missing series, in order" [ "corpus"; "blocks" ]
+    (Timeseries.missing ts [ "corpus"; "edges"; "blocks" ])
+
+module Scrape = Sp_obs.Scrape
+
+let good_sample () =
+  let module E = Sp_obs.Exposition in
+  {
+    Scrape.health = Json.Obj [ ("status", Json.Str "ok"); ("running", Json.Bool true) ];
+    tenants =
+      Json.Arr
+        [ Json.Obj
+            [ ("name", Json.Str "a"); ("state", Json.Str "healthy");
+              ("weight", Json.Num 2.0); ("slices", Json.Num 3.0);
+              ("executions", Json.Num 900.0); ("budget_remaining", Json.Null);
+              ("retries", Json.Num 1.0) ];
+          Json.Obj [ ("name", Json.Str "no-state") ];
+          Json.Obj [ ("name", Json.Str "b"); ("state", Json.Str "exhausted");
+                     ("budget_remaining", Json.Num 0.0) ] ];
+    metrics =
+      E.render
+        (List.map
+           (fun name -> E.metric E.Gauge name 1.0)
+           [ "snowplow_scheduler_slices"; "snowplow_tenant_state";
+             "snowplow_tenant_executions" ]);
+  }
+
+let test_scrape_check () =
+  let good = good_sample () in
+  check Alcotest.(list string) "a well-formed scrape passes" [] (Scrape.check good);
+  check
+    Alcotest.(list string)
+    "every broken endpoint is reported"
+    [ "/metrics: expected family snowplow_tenant_state missing";
+      "/metrics: expected family snowplow_tenant_executions missing";
+      "/health: missing status"; "/tenants: empty roster" ]
+    (Scrape.check
+       { health = Json.Obj [];
+         tenants = Json.Arr [];
+         metrics =
+           Sp_obs.Exposition.(render [ metric Gauge "snowplow_scheduler_slices" 1.0 ]) });
+  check
+    Alcotest.(list string)
+    "wrong shapes"
+    [ "/metrics: no samples"; "/metrics: expected family snowplow_scheduler_slices missing";
+      "/metrics: expected family snowplow_tenant_state missing";
+      "/metrics: expected family snowplow_tenant_executions missing";
+      "/health: expected an object"; "/tenants: expected an array" ]
+    (Scrape.check { health = Json.Arr []; tenants = Json.Obj []; metrics = "" });
+  Alcotest.(check bool) "garbage exposition is invalid" true
+    (match Scrape.check { good with metrics = "not a metric line{" } with
+    | p :: _ -> String.starts_with ~prefix:"/metrics: invalid exposition" p
+    | [] -> false);
+  let rows = Scrape.tenant_rows good.tenants in
+  check Alcotest.(list string) "rows need a name and a state" [ "a"; "b" ]
+    (List.map (fun (r : Scrape.tenant_row) -> r.name) rows);
+  (match rows with
+  | [ a; b ] ->
+    check Alcotest.int "executions" 900 a.executions;
+    check Alcotest.int "retries" 1 a.retries;
+    check (Alcotest.float 0.0) "weight" 2.0 a.weight;
+    check Alcotest.(option int) "null budget" None a.budget_remaining;
+    check Alcotest.(option int) "budget" (Some 0) b.budget_remaining;
+    check (Alcotest.float 0.0) "default weight" 1.0 b.weight
+  | _ -> Alcotest.fail "two rows expected");
+  check Alcotest.int "non-array has no rows" 0 (List.length (Scrape.tenant_rows Json.Null));
+  let target = Alcotest.(result (pair string int) string) in
+  check target "host and port" (Ok ("10.0.0.1", 9090)) (Scrape.parse_target "10.0.0.1:9090");
+  check target "empty host is loopback" (Ok ("127.0.0.1", 80)) (Scrape.parse_target ":80");
+  check target "port out of range" (Error "--connect \"h:70000\": bad port")
+    (Scrape.parse_target "h:70000");
+  check target "no port" (Error "--connect \"h\": expected HOST:PORT")
+    (Scrape.parse_target "h")
+
+module Bench_diff = Sp_obs.Bench_diff
+
+let test_bench_diff_compare () =
+  let floors = [ { Bench_diff.experiment = "E1"; key = "speedup"; min = 3.0 } ] in
+  let bars = [ { Bench_diff.experiment = "E1"; key = "speedup"; min = 1.1 } ] in
+  let cmp ~baseline ~fresh = Bench_diff.compare ~floors ~bars "E1" ~baseline ~fresh in
+  check Alcotest.(list string) "a clean pair passes" []
+    (cmp ~baseline:[ ("speedup", 3.5); ("delta", -1.0) ]
+       ~fresh:[ ("delta", 0.0); ("speedup", 1.2) ]);
+  check Alcotest.(list string) "other experiments' bounds do not apply" []
+    (Bench_diff.compare ~floors ~bars "E2" ~baseline:[ ("x", 1.0) ] ~fresh:[ ("x", 2.0) ]);
+  check
+    Alcotest.(list string)
+    "key sets, finiteness, positivity, floor and bar"
+    [ "E1: metric key sets differ (baseline: speedup,wall_s; fresh: speedup)";
+      "E1: baseline wall_s is not finite (nan)";
+      "E1: fresh speedup must be positive, got -1";
+      "E1: committed baseline speedup = 2 is below the 3 floor (perf rot in the \
+       committed trajectory)";
+      "E1: fresh speedup = -1 is below the 1.1 quick-mode bar" ]
+    (cmp ~baseline:[ ("speedup", 2.0); ("wall_s", Float.nan) ] ~fresh:[ ("speedup", -1.0) ]);
+  check
+    Alcotest.(list string)
+    "a missing bounded key is a problem"
+    [ "E1: baseline is missing speedup"; "E1: fresh run is missing speedup" ]
+    (cmp ~baseline:[] ~fresh:[]);
+  List.iter
+    (fun (key, positive) ->
+      Alcotest.(check bool) key positive (Bench_diff.positive_key key))
+    [ ("wall_s", true); ("Execs_total", true); ("inference_qps", true);
+      ("throughput_ratio", true); ("speedup_vs_reference", true); ("delta", false) ]
+
+let test_bench_diff_run () =
+  let dir name =
+    let d = Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "bench-diff-%s-%d" name (Unix.getpid ())) in
+    (try Sys.mkdir d 0o755 with Sys_error _ -> ());
+    d
+  in
+  let baseline_dir = dir "base" and fresh_dir = dir "fresh" in
+  let write d e body = Sp_obs.Io.write_atomic (Filename.concat d ("BENCH_" ^ e ^ ".json")) body in
+  write baseline_dir "E1" {|{"experiment":"E1","wall_s":2.0,"n":3}|};
+  write fresh_dir "E1" {|{"experiment":"E1","wall_s":0.5,"n":1}|};
+  write baseline_dir "E2" {|{"wall_s":1.0}|};
+  write fresh_dir "E2" "[1]";
+  write baseline_dir "E3" {|{"wall_s":1.0}|};
+  check Alcotest.(list string) "pairs with a fresh side, sorted" [ "E1"; "E2" ]
+    (Bench_diff.experiments ~baseline_dir ~fresh_dir);
+  let o = Bench_diff.run ~floors:[] ~bars:[] ~baseline_dir ~fresh_dir [ "E1"; "E2"; "E3" ] in
+  check Alcotest.(list (pair string int)) "compared" [ ("E1", 2) ] o.Bench_diff.compared;
+  check Alcotest.int "values on both sides" 4 o.Bench_diff.values;
+  check Alcotest.int "unreadable files are problems" 2 (List.length o.Bench_diff.problems);
+  Alcotest.(check bool) "non-object fresh file" true
+    (List.exists
+       (fun p -> String.ends_with ~suffix:"expected a JSON object" p)
+       o.Bench_diff.problems)
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -733,6 +888,16 @@ let () =
             test_exposition_render_validate;
           Alcotest.test_case "validator rejects malformed payloads" `Quick
             test_exposition_validator_rejects;
+        ] );
+      ( "cli-logic",
+        [
+          Alcotest.test_case "stats pass/fail rules" `Quick test_stats_rules;
+          Alcotest.test_case "top scrape check and tenant rows" `Quick
+            test_scrape_check;
+          Alcotest.test_case "bench-diff comparison" `Quick
+            test_bench_diff_compare;
+          Alcotest.test_case "bench-diff over trajectory files" `Quick
+            test_bench_diff_run;
         ] );
       ( "exporter",
         [

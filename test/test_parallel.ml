@@ -329,9 +329,9 @@ let inference () =
 
 let test_funnel_defers_and_broadcasts () =
   let service = inference () in
-  let funnel = Snowplow.Funnel.create ~shards:2 service in
-  let ep0 = Snowplow.Funnel.endpoint funnel ~shard:0 in
-  let ep1 = Snowplow.Funnel.endpoint funnel ~shard:1 in
+  let funnel = Snowplow.Funnel.create_multi ~tenant_shards:[| 2 |] service in
+  let ep0 = Snowplow.Funnel.endpoint_for funnel ~tenant:0 ~shard:0 in
+  let ep1 = Snowplow.Funnel.endpoint_for funnel ~tenant:0 ~shard:1 in
   let prog s = Gen.program (Rng.create s) db () in
   Alcotest.(check bool) "shard 0 request accepted" true
     (ep0.Snowplow.Inference.ep_request ~now:0.0 (prog 1) ~targets:[ 0 ]);
@@ -345,9 +345,9 @@ let test_funnel_defers_and_broadcasts () =
   check Alcotest.int "deferred counted" 2
     (Snowplow.Funnel.requests_deferred funnel);
   (* Barrier 1: forward both; they complete after the service latency. *)
-  ignore (Snowplow.Funnel.flush funnel ~now:100.0);
+  ignore (Snowplow.Funnel.flush_tenant funnel ~tenant:0 ~now:100.0);
   check Alcotest.int "batch admitted" 2 (Snowplow.Inference.pending service);
-  let delivered = Snowplow.Funnel.flush funnel ~now:200.0 in
+  let delivered = Snowplow.Funnel.flush_tenant funnel ~tenant:0 ~now:200.0 in
   check Alcotest.int "both predictions completed" 2 delivered;
   let inbox0 = ep0.Snowplow.Inference.ep_poll ~now:200.0 in
   let inbox1 = ep1.Snowplow.Inference.ep_poll ~now:200.0 in
@@ -401,8 +401,10 @@ let test_funnel_tenant_lanes () =
 
 let test_funnel_outbox_bound () =
   let service = inference () in
-  let funnel = Snowplow.Funnel.create ~max_outbox:2 ~shards:1 service in
-  let ep = Snowplow.Funnel.endpoint funnel ~shard:0 in
+  let funnel =
+    Snowplow.Funnel.create_multi ~max_outbox:2 ~tenant_shards:[| 1 |] service
+  in
+  let ep = Snowplow.Funnel.endpoint_for funnel ~tenant:0 ~shard:0 in
   let prog s = Gen.program (Rng.create s) db () in
   Alcotest.(check bool) "1st accepted" true
     (ep.Snowplow.Inference.ep_request ~now:0.0 (prog 1) ~targets:[ 0 ]);

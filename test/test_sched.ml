@@ -239,6 +239,37 @@ let test_tenant_status_golden () =
             ts_budget_remaining = None;
             ts_retries = 3 }))
 
+(* The serve --summary-json document: run totals plus one object per
+   tenant, straight from the report. *)
+let test_summary_json () =
+  let r =
+    run_ok ~workers:2
+      [ tenant ~name:"a" ~seed:7 ~jobs:1 ~duration:600.0 ();
+        tenant ~name:"b" ~seed:23 ~jobs:1 ~exec_budget:50 () ]
+  in
+  let doc = Scheduler.summary_json ~faults_injected:3 r in
+  let num j name = Option.bind (Json.member name j) Json.num_opt in
+  let bool j name =
+    match Json.member name j with Some (Json.Bool b) -> Some b | _ -> None
+  in
+  check Alcotest.(option (float 0.0)) "slices" (Some (float_of_int r.Scheduler.sr_slices))
+    (num doc "slices");
+  check Alcotest.(option (float 0.0)) "workers" (Some 2.0) (num doc "workers");
+  check Alcotest.(option (float 0.0)) "faults" (Some 3.0) (num doc "faults_injected");
+  match Json.member "tenants" doc with
+  | Some (Json.Arr [ a; b ]) ->
+    check Alcotest.(list string) "tenant fields, in order"
+      [ "name"; "weight"; "slices"; "executions"; "crashes"; "corpus_size";
+        "completed"; "quarantined"; "budget_exhausted"; "retries"; "failures" ]
+      (match a with Json.Obj fields -> List.map fst fields | _ -> []);
+    check Alcotest.(option bool) "a completed" (Some true) (bool a "completed");
+    check Alcotest.(option bool) "b ran out of budget" (Some true)
+      (bool b "budget_exhausted");
+    check Alcotest.(option (float 0.0)) "b's executions"
+      (Some (float_of_int (by_name r "b").Scheduler.tr_executions))
+      (num b "executions")
+  | _ -> Alcotest.fail "two tenant objects expected"
+
 let snapshot_dir_bytes root =
   Sys.readdir root |> Array.to_list |> List.sort compare
   |> List.map (fun name ->
@@ -461,5 +492,7 @@ let () =
         [ Alcotest.test_case "/tenants status object golden" `Quick
             test_tenant_status_golden;
           Alcotest.test_case "armed vs unarmed byte identity" `Quick
-            test_armed_vs_unarmed_identity ] );
+            test_armed_vs_unarmed_identity;
+          Alcotest.test_case "--summary-json document" `Quick
+            test_summary_json ] );
       ("model", [ qtest qcheck_scheduler_model ]) ]

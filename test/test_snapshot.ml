@@ -377,7 +377,8 @@ let test_snapshot_latest () =
    memos, all outside the campaign record — killed at a barrier and
    resumed from its snapshot still reproduces the uninterrupted report
    byte-for-byte, because [Persist.aux] rides that state in the
-   snapshot's [aux] field. *)
+   snapshot's [aux] field. The wiring is the launcher's, as in the
+   CLI. *)
 let aux_cfg =
   { Campaign.default_config with
     seed_corpus = Gen.corpus (Rng.create 29) db ~size:20;
@@ -388,21 +389,12 @@ let aux_cfg =
 let aux_jobs = 2
 
 let snowplow_run ?snapshot_dir ?restore () =
-  let service = inference () in
-  let funnel = Snowplow.Funnel.create ~shards:aux_jobs service in
-  let predictions =
-    Array.init aux_jobs (fun _ -> Snowplow.Hybrid.make_predictions ())
+  let service =
+    Snowplow.Launch.of_inference ~tenant_jobs:[| aux_jobs |] (inference ())
   in
-  let aux =
-    Snowplow.Persist.aux ~parse ~inference:service ~funnel ~predictions
+  let { Snowplow.Launch.strategy_for; on_barrier; aux } =
+    Snowplow.Launch.snowplow_lane service ~tenant:0 kernel
   in
-  let strategy_for s =
-    Snowplow.Hybrid.strategy_with
-      ~predictions:(predictions.(s))
-      ~endpoint:(Snowplow.Funnel.endpoint funnel ~shard:s)
-      kernel
-  in
-  let on_barrier ~now = ignore (Snowplow.Funnel.flush funnel ~now) in
   run_campaign ?snapshot_dir ?restore ~on_barrier ~aux ~jobs:aux_jobs
     ~strategy_for aux_cfg
 
