@@ -228,9 +228,10 @@ let validate_snapshot ~snapshot ~jobs config =
   | Some (Json.Str "snowplow-campaign-snapshot") -> ()
   | _ -> error "not a campaign snapshot (missing or wrong \"format\")");
   let v = int_field "version" snapshot in
-  if v <> Snapshot.format_version then
-    error "snapshot format version %d, this build reads %d" v
-      Snapshot.format_version;
+  if not (List.mem v Snapshot.readable_versions) then
+    error "snapshot format version %d, this build reads %s" v
+      (String.concat " and "
+         (List.map string_of_int Snapshot.readable_versions));
   let c = field "config" snapshot in
   let mismatch what = error "snapshot config mismatch: %s differs" what in
   if int_field "seed" c <> config.seed then mismatch "seed";
@@ -379,7 +380,10 @@ let create_instance ?snapshot_dir ?restore ?(on_barrier = fun ~now:_ -> ())
     if List.length shard_states <> jobs then
       error "snapshot has %d shards, resuming with jobs=%d"
         (List.length shard_states) jobs;
-    List.iteri (fun i sj -> Shard.restore_state shards.(i) ~parse sj) shard_states;
+    let version = int_field "version" snap in
+    List.iteri
+      (fun i sj -> Shard.restore_state shards.(i) ~parse ~version sj)
+      shard_states;
     (* Strategy-side state (inference/funnel/prediction caches) rides in
        the snapshot's [aux] field; a caller that supplies an [aux] hook
        gets it back, others ignore it. *)
@@ -624,8 +628,8 @@ let complete_slice inst slice =
      assembly instead of re-entering the loop. *)
   (match inst.i_snapshot_dir with
   | Some dir ->
-    (* [k] = barrier number: the crash-mid-write site is addressable per
-       barrier and stable across resume. *)
+    (* [k] = barrier number: the crash-before-rename site is addressable
+       per barrier and stable across resume. *)
     let inject =
       if Faults.enabled inst.i_faults then
         Some

@@ -144,8 +144,9 @@ val create_instance :
     injection sites, both prefixed with [label ^ "/"] when a label is
     set: [shard.epoch] (one shard's epoch task raises; [k] = slice-wide
     epoch ordinal [(barrier - 1) * jobs + shard], stable across resume)
-    and [io.write_atomic] (the barrier snapshot write crashes mid-write,
-    leaving the previous snapshot intact; [k] = barrier number).
+    and [io.write_atomic] (the barrier snapshot write crashes between
+    the new file's fsync and its rename, leaving the previous snapshot
+    intact; [k] = barrier number).
     Decisions are consulted on the instance's own domain in shard order,
     so they are independent of pool scheduling.
 
@@ -200,10 +201,13 @@ val instance_next_time : instance -> float
     per-tenant progress clock. *)
 
 val validate_snapshot : snapshot:Sp_obs.Json.t -> jobs:int -> config -> unit
-(** Check a snapshot document's format marker, version and config echo
-    against the launch parameters. Raises [Sp_obs.Json.Decode.Error]
-    (with a human-readable message) on any mismatch; {!create_instance}
-    calls this on its [restore] document. *)
+(** Check a snapshot document's format marker, version (one of
+    {!Snapshot.readable_versions}: a version-2 document is converted as
+    it is restored) and config echo against the launch parameters.
+    Raises [Sp_obs.Json.Decode.Error] (with a human-readable message
+    that names the version, for a version this build cannot read) on
+    any mismatch; {!create_instance} calls this on its [restore]
+    document. *)
 
 val report_json : report -> Sp_obs.Json.t
 (** The deterministic portion of a report (everything except [metrics],

@@ -1,5 +1,6 @@
 module Rng = Sp_util.Rng
 module Metrics = Sp_util.Metrics
+module Fpset = Sp_util.Fpset
 module Tracer = Sp_obs.Tracer
 module Kernel = Sp_kernel.Kernel
 module Bug = Sp_kernel.Bug
@@ -14,7 +15,7 @@ type t = {
   strategy : Strategy.t;
   metrics : Metrics.t;
   tracer : Tracer.t;
-  executed : (int, Prog.t list) Hashtbl.t;
+  executed : Fpset.t;
   crash_seen : (string, unit) Hashtbl.t;
   mutable seeds : Prog.t list;
 }
@@ -32,7 +33,7 @@ let create ?(tracer = Tracer.null) ~id ~vm ~strategy ~rng ~seeds () =
     strategy;
     metrics;
     tracer;
-    executed = Hashtbl.create 4096;
+    executed = Fpset.create ();
     crash_seen = Hashtbl.create 16;
     seeds;
   }
@@ -45,18 +46,19 @@ let now t = Clock.now t.clock
 
 let metrics t = t.metrics
 
+let executed t = t.executed
+
 module Json = Sp_obs.Json
 
 let state_json t =
-  (* The executed set is flattened and sorted by program text so the
-     snapshot bytes are canonical — independent of Hashtbl layout, which
-     differs between an uninterrupted run and a resumed one. Membership is
-     all that matters semantically. *)
-  let executed =
-    Hashtbl.fold (fun _ bucket acc -> List.rev_append bucket acc) t.executed []
-    |> List.map Prog.to_string
-    |> List.sort String.compare
-  in
+  (* The executed set is dumped in numeric order so the snapshot bytes
+     are canonical — independent of the table layout, which differs
+     between an uninterrupted run and a resumed one. Membership is all
+     that matters semantically. *)
+  let executed = ref [] in
+  Fpset.iter_sorted
+    (fun hi lo -> executed := Json.Str (Fpset.to_hex hi lo) :: !executed)
+    t.executed;
   let crash_seen =
     Hashtbl.fold (fun d () acc -> d :: acc) t.crash_seen []
     |> List.sort String.compare
@@ -67,11 +69,11 @@ let state_json t =
       ("rng", Json.Decode.int64_to_json (Rng.state t.rng));
       ("vm", Vm.state_json t.vm);
       ("seeds", Json.Arr (List.map (fun p -> Json.Str (Prog.to_string p)) t.seeds));
-      ("executed", Json.Arr (List.map (fun s -> Json.Str s) executed));
+      ("executed", Json.Arr (List.rev !executed));
       ("crash_seen", Json.Arr (List.map (fun d -> Json.Str d) crash_seen))
     ]
 
-let restore_state t ~parse j =
+let restore_state t ~parse ~version j =
   let open Json.Decode in
   let id = int_field "id" j in
   if id <> t.id then error "shard state: id %d restored into shard %d" id t.id;
@@ -93,13 +95,22 @@ let restore_state t ~parse j =
   Rng.set_state t.rng (int64_field "rng" j);
   Vm.restore_state t.vm (field "vm" j);
   t.seeds <- List.map (parse_prog "seeds") (str_items "seeds");
-  Hashtbl.reset t.executed;
+  Fpset.clear t.executed;
+  (* Version 2 stored the executed programs' text: converting it is
+     fingerprinting each parsed program, as the shard would have. *)
+  let fingerprint s =
+    if version = 2 then
+      let fp = Prog.fingerprint (parse_prog "executed" s) in
+      (fp.Prog.fp_hi, fp.Prog.fp_lo)
+    else
+      match Fpset.of_hex s with
+      | Some pair -> pair
+      | None -> error "shard executed: bad fingerprint %S" s
+  in
   List.iter
     (fun s ->
-      let p = parse_prog "executed" s in
-      let h = Prog.hash p in
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt t.executed h) in
-      Hashtbl.replace t.executed h (p :: bucket))
+      let hi, lo = fingerprint s in
+      ignore (Fpset.add t.executed hi lo))
     (str_items "executed");
   Hashtbl.reset t.crash_seen;
   List.iter (fun d -> Hashtbl.replace t.crash_seen d ()) (str_items "crash_seen")
@@ -131,17 +142,15 @@ type ctx = {
   mutable worked : bool;
 }
 
-(* The executed-set is keyed by hash but confirmed structurally, like the
-   corpus: a collision must cost a redundant execution, not skip a
-   never-run program. *)
-let seen_executed t prog h =
-  match Hashtbl.find_opt t.executed h with
-  | None -> false
-  | Some bucket -> List.exists (Prog.equal prog) bucket
-
-let mark_executed t prog h =
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt t.executed h) in
-  Hashtbl.replace t.executed h (prog :: bucket)
+(* Whether [prog] is new to this shard, recording it if so. The set
+   holds fingerprints, not programs: two distinct programs sharing all
+   126 bits (about 6e-23 likely among 1e8 programs) would cost one
+   never-run program, skipped and charged as a duplicate — the same way
+   in every run, so reports stay a pure function of (seed, jobs,
+   schedule). *)
+let first_run t prog =
+  let fp = Prog.fingerprint prog in
+  Fpset.add t.executed fp.Prog.fp_hi fp.Prog.fp_lo
 
 let check_target t ctx target =
   match target with
@@ -224,9 +233,7 @@ let run_epoch_inner t ?max_execs ~corpus ~accum ~target ~until () =
     | [] -> ()
     | prog :: rest ->
       t.seeds <- rest;
-      let h = Prog.hash prog in
-      if not (seen_executed t prog h) then begin
-        mark_executed t prog h;
+      if first_run t prog then begin
         Vm.run_raw t.vm t.clock prog;
         ingest_raw t ctx target prog
       end
@@ -250,15 +257,13 @@ let run_epoch_inner t ?max_execs ~corpus ~accum ~target ~until () =
     List.iter
       (fun (p : Strategy.proposal) ->
         if not (finished ()) then begin
-          let h = Prog.hash p.Strategy.prog in
-          if seen_executed t p.Strategy.prog h then begin
-            Metrics.incr t.metrics "campaign.duplicates";
-            Vm.charge_duplicate t.vm t.clock
-          end
-          else begin
-            mark_executed t p.Strategy.prog h;
+          if first_run t p.Strategy.prog then begin
             Vm.run_raw t.vm t.clock p.Strategy.prog;
             ingest_raw ~origin:p.Strategy.origin t ctx target p.Strategy.prog
+          end
+          else begin
+            Metrics.incr t.metrics "campaign.duplicates";
+            Vm.charge_duplicate t.vm t.clock
           end
         end)
       proposals;

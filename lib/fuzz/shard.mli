@@ -40,22 +40,32 @@ val metrics : t -> Sp_util.Metrics.t
 (** Shard-local registry (campaign.* loop counters, vm.* costs); the
     executor merges these into the report registry in shard order. *)
 
+val executed : t -> Sp_util.Fpset.t
+(** The fingerprints ({!Sp_syzlang.Prog.fingerprint}) of every program
+    this shard has executed, seeds included: a proposal whose fingerprint
+    is already here is skipped and charged as a duplicate. Exposed for
+    inspection; the shard owns it. *)
+
 val state_json : t -> Sp_obs.Json.t
 (** Cross-epoch mutable state for campaign snapshots: clock, RNG stream,
-    VM counters, unexecuted seed slice, the executed-program dedup set
-    (canonically sorted — duplicate skips charge different virtual time
-    than executions, so membership is determinism-relevant) and the
-    per-shard crash dedup set. Metrics/tracers are observability, not
-    semantics, and are not persisted. *)
+    VM counters, unexecuted seed slice, the executed set (its
+    fingerprints as 32-hex-digit strings in numeric order, so the bytes
+    are canonical — duplicate skips charge different virtual time than
+    executions, so membership is determinism-relevant) and the per-shard
+    crash dedup set. Metrics/tracers are observability, not semantics,
+    and are not persisted. *)
 
 val restore_state :
   t ->
   parse:(string -> (Sp_syzlang.Prog.t, string) result) ->
+  version:int ->
   Sp_obs.Json.t ->
   unit
 (** Restore state captured by {!state_json} into a freshly created shard
-    (same id, fresh clock). Raises [Sp_obs.Json.Decode.Error] on malformed
-    input or an id mismatch. *)
+    (same id, fresh clock). [version] is the snapshot's format version:
+    version 2 stored the executed programs as text, which is parsed and
+    fingerprinted; version 3 stores the fingerprints. Raises
+    [Sp_obs.Json.Decode.Error] on malformed input or an id mismatch. *)
 
 type crash_event = {
   ce_crash : Sp_kernel.Kernel.crash;

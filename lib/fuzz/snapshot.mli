@@ -11,6 +11,12 @@
     survives). *)
 
 val format_version : int
+(** The version this build writes: 3. *)
+
+val readable_versions : int list
+(** The versions this build restores: 2 and 3. Version 2 differs only in
+    storing each shard's executed set as program text, which a restore
+    converts by fingerprinting each parsed program. *)
 
 val entry_to_json : Corpus.entry -> Sp_obs.Json.t
 
@@ -39,8 +45,9 @@ val write :
   ?inject:(unit -> unit) -> dir:string -> barrier:int -> Sp_obs.Json.t -> string
 (** Atomically write a barrier snapshot (creating [dir] if needed);
     returns the path written. [inject] is {!Sp_obs.Io.write_atomic}'s
-    fault hook: raising from it models a crash mid-write (previous
-    snapshot survives, no torn file). *)
+    fault hook: raising from it models a crash after the new file is
+    written and fsynced but before its rename (previous snapshot
+    survives, no torn file, no temporary left behind). *)
 
 val failure_path : dir:string -> barrier:int -> generation:int -> string
 (** [failure-NNNNNN-gG.json] under [dir] — the quarantine forensic

@@ -1,4 +1,4 @@
-(** Crash-safe file writes.
+(** Crash-safe, durable file writes.
 
     Every artifact the reproduction persists — traces, time-series, campaign
     snapshots, bench results — must never be observable half-written: a
@@ -6,14 +6,16 @@
     or resume would load a torn file. All writers therefore go through
     [write_atomic]: the data lands in a temporary file in the destination
     directory (same filesystem, so the final step is a plain [rename]) and is
-    moved over the target only once fully flushed. Any exception mid-write
-    removes the temporary and leaves the target untouched.
+    moved over the target only once fully written and fsynced; the directory
+    is fsynced after the rename, so the new name survives a power loss as
+    well as a process kill. Any exception before the rename removes the
+    temporary and leaves the target untouched.
 
-    [inject] is a fault-injection hook run after the temporary is created
-    and before anything is written: raising from it exercises exactly the
-    mid-write crash path (temporary removed, target untouched) without
-    the caller needing filesystem tricks. [sp_obs] sits below [sp_util],
-    so the hook is a plain closure — callers arm it with
+    [inject] is a fault-injection hook run after the temporary is written
+    and fsynced and before the rename: raising from it exercises exactly
+    the crash-before-rename path (temporary removed, target untouched)
+    without the caller needing filesystem tricks. [sp_obs] sits below
+    [sp_util], so the hook is a plain closure — callers arm it with
     [Sp_util.Faults.fire]. *)
 
 val write_atomic : ?inject:(unit -> unit) -> string -> string -> unit

@@ -71,7 +71,13 @@ let to_string v =
 
 exception Fail of string * int
 
-type st = { s : string; mutable pos : int }
+(* Arrays and objects nest at most this deep. The deepest document the
+   repository writes (a snowplow snapshot's aux state) nests 9 levels;
+   the bound turns a hostile "[[[[..." into a prompt typed error instead
+   of a parse that grows the stack and the heap with the input. *)
+let max_depth = 512
+
+type st = { s : string; mutable pos : int; mutable depth : int }
 
 let fail st msg = raise (Fail (msg, st.pos))
 
@@ -200,14 +206,22 @@ let rec parse_value st =
   skip_ws st;
   if eof st then fail st "unexpected end of input";
   match peek st with
-  | '{' -> parse_obj st
-  | '[' -> parse_arr st
+  | '{' -> nested st parse_obj
+  | '[' -> nested st parse_arr
   | '"' -> Str (parse_string st)
   | 't' -> expect_lit st "true" (Bool true)
   | 'f' -> expect_lit st "false" (Bool false)
   | 'n' -> expect_lit st "null" Null
   | '-' | '0' .. '9' -> parse_number st
   | c -> fail st (Printf.sprintf "unexpected character %C" c)
+
+and nested st parse =
+  if st.depth >= max_depth then
+    fail st (Printf.sprintf "nesting deeper than %d" max_depth);
+  st.depth <- st.depth + 1;
+  let v = parse st in
+  st.depth <- st.depth - 1;
+  v
 
 and parse_arr st =
   advance st;
@@ -260,7 +274,7 @@ and parse_obj st =
   end
 
 let of_string s =
-  let st = { s; pos = 0 } in
+  let st = { s; pos = 0; depth = 0 } in
   match
     let v = parse_value st in
     skip_ws st;

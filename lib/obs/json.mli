@@ -32,9 +32,14 @@ val to_string : t -> string
 
 val to_buffer : Buffer.t -> t -> unit
 
+val max_depth : int
+(** How deep arrays and objects may nest in a parsed document: 512. *)
+
 val of_string : string -> (t, string) result
 (** Strict parse of one JSON value (surrounding whitespace allowed).
-    [\uXXXX] escapes are decoded to UTF-8 (surrogate pairs supported). *)
+    [\uXXXX] escapes are decoded to UTF-8 (surrogate pairs supported).
+    A document nesting arrays and objects deeper than {!max_depth} is an
+    [Error], found before the parser descends past the bound. *)
 
 (** {1 Accessors} *)
 

@@ -243,6 +243,79 @@ let hash t =
       (acc * 65599) lxor h)
     0 t
 
+(* Structural fingerprint: one pass over the program that steps two
+   independently seeded 63-bit accumulators, each a multiply-xorshift
+   permutation of its state for a fixed input, so two programs share a
+   fingerprint only if both halves collide at once. Every constructor
+   mixes its own tag and every list its length, so no two nestings
+   encode alike; strings are mixed byte for byte. The accumulators are
+   the result record itself, so the walk allocates nothing. *)
+
+type fingerprint = { mutable fp_hi : int; mutable fp_lo : int }
+
+let mix fp x =
+  let h = (fp.fp_hi lxor x) * 0x2545F4914F6CDD1D in
+  fp.fp_hi <- h lxor (h lsr 29);
+  let l = (fp.fp_lo + x) * 0x3C6EF372FE94F82B in
+  fp.fp_lo <- l lxor (l lsr 31)
+
+(* Length first, then the bytes seven to a word. *)
+let mix_string fp s =
+  let n = String.length s in
+  mix fp n;
+  let w = ref 0 in
+  for i = 0 to n - 1 do
+    w := (!w lsl 8) lor Char.code (String.unsafe_get s i);
+    if i mod 7 = 6 then begin
+      mix fp !w;
+      w := 0
+    end
+  done;
+  if n mod 7 <> 0 then mix fp !w
+
+let rec mix_value fp (v : Value.t) =
+  match v with
+  | Vconst n -> mix fp 1; mix fp n
+  | Vint n -> mix fp 2; mix fp n
+  | Vflags n -> mix fp 3; mix fp n
+  | Venum n -> mix fp 4; mix fp n
+  | Vlen n -> mix fp 5; mix fp n
+  | Vbuf { len; seed } -> mix fp 6; mix fp len; mix fp seed
+  | Vstr s -> mix fp 7; mix_string fp s
+  | Vptr None -> mix fp 8
+  | Vptr (Some v) -> mix fp 9; mix_value fp v
+  | Vstruct vs -> mix fp 10; mix_values fp vs
+  | Vres i -> mix fp 11; mix fp i
+
+and mix_values fp vs =
+  mix fp (List.length vs);
+  mix_list fp vs
+
+and mix_list fp = function
+  | [] -> ()
+  | v :: rest ->
+    mix_value fp v;
+    mix_list fp rest
+
+(* A final avalanche on each half, so that every input bit reaches
+   every output bit. *)
+let avalanche h =
+  let h = (h lxor (h lsr 32)) * 0x1D8E4E27C47D124F in
+  h lxor (h lsr 29)
+
+let fingerprint t =
+  let fp = { fp_hi = 0x1851F42D4C957F2D; fp_lo = 0x14057B7EF767814F } in
+  mix fp (Array.length t);
+  for i = 0 to Array.length t - 1 do
+    let c = Array.unsafe_get t i in
+    mix fp 12;
+    mix_string fp c.spec.Spec.name;
+    mix_values fp c.args
+  done;
+  fp.fp_hi <- avalanche fp.fp_hi;
+  fp.fp_lo <- avalanche fp.fp_lo;
+  fp
+
 let equal a b =
   Array.length a = Array.length b
   && Array.for_all2

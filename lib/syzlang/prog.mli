@@ -67,6 +67,20 @@ val remove_call : t -> int -> t
 val hash : t -> int
 (** Content hash for corpus deduplication. *)
 
+type fingerprint = private { mutable fp_hi : int; mutable fp_lo : int }
+(** A 126-bit structural fingerprint: two independent 63-bit halves. The
+    fields are mutable only so that {!fingerprint} can accumulate into
+    its result; the type is private, so callers can only read them. *)
+
+val fingerprint : t -> fingerprint
+(** One pass over the program, allocating nothing but the 3-word result.
+    It reads exactly what {!equal} compares (call names, argument
+    values), so [equal a b] implies equal fingerprints. Distinct programs
+    share one with probability about 2{^-126} per pair: among 10{^8}
+    programs, the chance of any shared fingerprint is about 6×10{^-23}.
+    Unlike {!hash}, whose value seeds and keys other components, this is
+    what a shard's executed set stores. *)
+
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -3,7 +3,8 @@
    percentiles, so a histogram's footprint is constant no matter how many
    observations a multi-day campaign records. The reservoir RNG is
    deterministic (seeded from the metric name), keeping campaigns
-   replayable. *)
+   replayable. Merges keep the moments exact too; only the reservoir is
+   a sample of a sample once a merged histogram overflowed it. *)
 
 let reservoir_size = 1024
 
@@ -12,7 +13,8 @@ type hist = {
   mutable sum : float;
   mutable minv : float;
   mutable maxv : float;
-  samples : float array;  (* reservoir; first [min count size] slots live *)
+  mutable offered : int;  (* values offered to the reservoir *)
+  samples : float array;  (* reservoir; first [min offered size] slots live *)
   rng : Rng.t;
 }
 
@@ -52,6 +54,7 @@ let hist_for t name =
         sum = 0.0;
         minv = infinity;
         maxv = neg_infinity;
+        offered = 0;
         samples = Array.make reservoir_size 0.0;
         rng = Rng.split_named (Rng.create 0x6e7) name;
       }
@@ -59,19 +62,27 @@ let hist_for t name =
     Hashtbl.add t.hists name h;
     h
 
-let observe t name v =
-  let h = hist_for t name in
-  h.count <- h.count + 1;
-  h.sum <- h.sum +. v;
-  if v < h.minv then h.minv <- v;
-  if v > h.maxv then h.maxv <- v;
-  if h.count <= reservoir_size then h.samples.(h.count - 1) <- v
+let offer h v =
+  h.offered <- h.offered + 1;
+  if h.offered <= reservoir_size then h.samples.(h.offered - 1) <- v
   else begin
-    (* Vitter's algorithm R: slot i is replaced with probability size/count,
-       keeping the reservoir a uniform sample of everything seen. *)
-    let j = Rng.int h.rng h.count in
+    (* Vitter's algorithm R: slot i is replaced with probability
+       size/offered, keeping the reservoir a uniform sample of everything
+       offered. *)
+    let j = Rng.int h.rng h.offered in
     if j < reservoir_size then h.samples.(j) <- v
   end
+
+let add_moments h ~count ~sum ~minv ~maxv =
+  h.count <- h.count + count;
+  h.sum <- h.sum +. sum;
+  if minv < h.minv then h.minv <- minv;
+  if maxv > h.maxv then h.maxv <- maxv
+
+let observe t name v =
+  let h = hist_for t name in
+  add_moments h ~count:1 ~sum:v ~minv:v ~maxv:v;
+  offer h v
 
 let time t name f =
   let t0 = Sys.time () in
@@ -93,7 +104,7 @@ type summary = {
 }
 
 let summary_of_hist h =
-  let live = Array.to_list (Array.sub h.samples 0 (min h.count reservoir_size)) in
+  let live = Array.to_list (Array.sub h.samples 0 (min h.offered reservoir_size)) in
   {
     count = h.count;
     sum = h.sum;
@@ -116,14 +127,26 @@ let summaries t =
     t.hists []
   |> List.sort compare
 
+(* A source whose reservoir still holds every observation is replayed
+   in order, which is exactly observing them directly (to the last bit
+   of the sum). A larger one adds its exact moments and offers only its
+   reservoir, so the quantiles alone are sampled. *)
 let merge_into ~dst src =
   List.iter (fun (name, v) -> incr ~by:v dst name) (counters src);
   Hashtbl.iter
     (fun name (h : hist) ->
-      let n = min h.count reservoir_size in
-      for i = 0 to n - 1 do
-        observe dst name h.samples.(i)
-      done)
+      let live = min h.offered reservoir_size in
+      if h.count = live then
+        for i = 0 to live - 1 do
+          observe dst name h.samples.(i)
+        done
+      else begin
+        let d = hist_for dst name in
+        add_moments d ~count:h.count ~sum:h.sum ~minv:h.minv ~maxv:h.maxv;
+        for i = 0 to live - 1 do
+          offer d h.samples.(i)
+        done
+      end)
     src.hists
 
 let render t =

@@ -66,8 +66,12 @@ val summaries : t -> (string * summary) list
 (** {1 Registry-level operations} *)
 
 val merge_into : dst:t -> t -> unit
-(** Fold another registry's counters and (sampled) observations into
-    [dst] — used to combine per-component registries into one report. *)
+(** Fold another registry's counters and histograms into [dst] — used
+    to combine per-component registries into one report. Counts, sums,
+    minima and maxima add exactly. A histogram whose reservoir still
+    holds all its observations is replayed in order, exactly as if [dst]
+    had observed them; a larger one offers only its reservoir to [dst]'s,
+    so only the merged percentiles are sampled. *)
 
 val render : t -> string
 (** Human-readable dump, stable ordering. *)

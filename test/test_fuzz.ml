@@ -353,6 +353,39 @@ let test_distill_drops_redundant () =
   Alcotest.(check bool) "redundancy removed" true
     (report.Sp_fuzz.Distill.distilled_count <= 1)
 
+(* ------------------------------------------------------------------ *)
+(* Shard executed set                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* After a quarter-hour epoch the executed set holds one 126-bit
+   fingerprint per execution and retains a few words for each: at most 8
+   (two ints in a table kept between a quarter and half full), where the
+   set it replaced retained every executed program's value tree. *)
+let test_shard_executed_footprint () =
+  let module Shard = Sp_fuzz.Shard in
+  let module Fpset = Sp_util.Fpset in
+  let vm = Vm.create ~seed:3 kernel in
+  let seeds = Gen.corpus (Rng.create 8) db ~size:30 in
+  let shard =
+    Shard.create ~id:0 ~vm ~strategy:(Strategy.syzkaller db) ~rng:(Rng.create 4)
+      ~seeds ()
+  in
+  let num_blocks = Kernel.num_blocks kernel in
+  let num_edges = Sp_cfg.Cfg.num_edges (Kernel.cfg kernel) in
+  ignore
+    (Shard.run_epoch shard ~corpus:(Corpus.create ())
+       ~accum:(Sp_coverage.Accum.create ~num_blocks ~num_edges)
+       ~target:None ~until:900.0 ());
+  let set = Shard.executed shard in
+  let entries = Fpset.length set in
+  Alcotest.(check int) "one fingerprint per execution" (Vm.executions vm) entries;
+  Alcotest.(check bool) "a real campaign's worth of entries" true (entries > 1000);
+  let words = Obj.reachable_words (Obj.repr set) in
+  let per_entry = float_of_int words /. float_of_int entries in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per entry (bound 8.1)" per_entry)
+    true (per_entry <= 8.1)
+
 let () =
   Alcotest.run "sp_fuzz"
     [
@@ -390,5 +423,10 @@ let () =
           Alcotest.test_case "directed easy target" `Quick test_campaign_directed_easy_target;
           Alcotest.test_case "loop metrics recorded" `Quick test_campaign_metrics_recorded;
           Alcotest.test_case "origin accounting" `Quick test_origin_stats_accounted;
+        ] );
+      ( "shard",
+        [
+          Alcotest.test_case "executed set retains a few words per entry" `Quick
+            test_shard_executed_footprint;
         ] );
     ]

@@ -156,6 +156,75 @@ let test_mutation_type_names () =
   Alcotest.(check string) "insert" "SYSCALL_INSERTION"
     (Engine.mutation_type_to_string Engine.Call_insertion)
 
+(* ------------------------------------------------------------------ *)
+(* Fingerprints over a mutation stream                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* What a shard's executed set sees: generated programs and chains of
+   their mutants. Among 10^5 distinct ones, no two may share a
+   fingerprint (at 126 bits, any sharing is a mixing defect, not bad
+   luck). Distinctness is judged on an independent exact encoding of
+   what [Prog.equal] compares (call names and values, every constructor
+   tagged and every list and string length-prefixed); only its digest is
+   kept, to bound the test's memory. *)
+let exact_key p =
+  let b = Buffer.create 256 in
+  let add_int n = Buffer.add_string b (string_of_int n); Buffer.add_char b ',' in
+  let add_str s = add_int (String.length s); Buffer.add_string b s in
+  let rec add_value (v : Value.t) =
+    match v with
+    | Vconst n -> Buffer.add_char b 'c'; add_int n
+    | Vint n -> Buffer.add_char b 'i'; add_int n
+    | Vflags n -> Buffer.add_char b 'f'; add_int n
+    | Venum n -> Buffer.add_char b 'e'; add_int n
+    | Vlen n -> Buffer.add_char b 'l'; add_int n
+    | Vbuf { len; seed } -> Buffer.add_char b 'b'; add_int len; add_int seed
+    | Vstr s -> Buffer.add_char b 's'; add_str s
+    | Vptr None -> Buffer.add_char b 'n'
+    | Vptr (Some v) -> Buffer.add_char b 'p'; add_value v
+    | Vstruct vs -> Buffer.add_char b 't'; add_values vs
+    | Vres i -> Buffer.add_char b 'r'; add_int i
+  and add_values vs = add_int (List.length vs); List.iter add_value vs in
+  add_int (Array.length p);
+  Array.iter (fun c -> add_str c.Prog.spec.Sp_syzlang.Spec.name; add_values c.Prog.args) p;
+  Digest.string (Buffer.contents b)
+
+let test_fingerprints_distinct () =
+  let seen : (int * int, Digest.t) Hashtbl.t = Hashtbl.create 200_000 in
+  let keys : (Digest.t, unit) Hashtbl.t = Hashtbl.create 200_000 in
+  let target = 100_000 in
+  let record p =
+    let d = exact_key p in
+    if not (Hashtbl.mem keys d) then begin
+      Hashtbl.add keys d ();
+      let fp = Prog.fingerprint p in
+      let key = (fp.Prog.fp_hi, fp.Prog.fp_lo) in
+      match Hashtbl.find_opt seen key with
+      | Some _ ->
+        Alcotest.failf "two distinct programs share fingerprint %s; one is:\n%s"
+          (Sp_util.Fpset.to_hex fp.Prog.fp_hi fp.Prog.fp_lo)
+          (Prog.to_string p)
+      | None -> Hashtbl.add seen key d
+    end
+  in
+  let rng = Rng.create 17 in
+  let base = ref 0 in
+  while Hashtbl.length keys < target do
+    incr base;
+    let p = Gen.program (Rng.create !base) db () in
+    record p;
+    let m = ref p in
+    for _ = 1 to 7 do
+      let next, _ = Engine.mutate engine rng ~donor:p !m in
+      m := next;
+      record next
+    done
+  done;
+  Alcotest.(check bool) "at least 10^5 distinct programs" true
+    (Hashtbl.length keys >= target);
+  Alcotest.(check int) "one fingerprint per distinct program"
+    (Hashtbl.length keys) (Hashtbl.length seen)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -172,6 +241,8 @@ let () =
           Alcotest.test_case "selector distribution" `Quick test_selector_distribution;
           Alcotest.test_case "localizer mutable only" `Quick test_localizer_picks_mutable;
           Alcotest.test_case "type names" `Quick test_mutation_type_names;
+          Alcotest.test_case "10^5 distinct programs, distinct fingerprints"
+            `Slow test_fingerprints_distinct;
         ] );
       qsuite "engine-props"
         [ prop_mutate_valid; prop_mutate_args_at_touches_only_named_call; prop_length_capped ];

@@ -95,6 +95,36 @@ let test_json_parse_errors () =
     [ ""; "{"; "[1,"; "tru"; "\"unterminated"; "{\"a\" 1}"; "[1] trailing";
       "\"bad \\q escape\"" ]
 
+(* Every decoder of outside input goes through [of_string], so nesting is
+   bounded: a hostile document is a prompt typed error, not a parse that
+   grows the stack and heap with its length. *)
+let test_json_depth_bound () =
+  let nest n ~opening ~closing =
+    String.make n opening ^ "0" ^ String.make n closing
+  in
+  (match Json.of_string (nest Json.max_depth ~opening:'[' ~closing:']') with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "%d nested arrays rejected: %s" Json.max_depth e);
+  (match Json.of_string (nest (Json.max_depth + 1) ~opening:'[' ~closing:']') with
+  | Ok _ -> Alcotest.fail "nesting past max_depth accepted"
+  | Error _ -> ());
+  let objects n = String.concat "" (List.init n (fun _ -> "{\"a\":")) ^ "0" ^ String.make n '}' in
+  (match Json.of_string (objects (Json.max_depth + 1)) with
+  | Ok _ -> Alcotest.fail "object nesting past max_depth accepted"
+  | Error _ -> ());
+  let hostile = String.make 1_000_000 '[' in
+  let t0 = Unix.gettimeofday () in
+  (match Json.of_string hostile with
+  | Ok _ -> Alcotest.fail "10^6 nested arrays accepted"
+  | Error e ->
+    Alcotest.(check string) "typed error names the bound and the byte"
+      (Printf.sprintf "json: nesting deeper than %d at byte %d" Json.max_depth
+         Json.max_depth)
+      e);
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "rejected in %.3f s (bound 0.5 s)" dt) true
+    (dt < 0.5)
+
 (* ------------------------------------------------------------------ *)
 (* Tracer and export                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -832,6 +862,8 @@ let () =
             test_json_float_exact;
           Alcotest.test_case "malformed input rejected" `Quick
             test_json_parse_errors;
+          Alcotest.test_case "nesting depth bounded" `Quick
+            test_json_depth_bound;
         ] );
       qsuite "json-props"
         [ test_json_float_exact_prop; test_json_string_roundtrip_prop ];

@@ -423,6 +423,217 @@ let test_snowplow_resume_matches_uninterrupted () =
     [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
+(* Durable writes                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The write path's crash window that matters for power loss: the new
+   snapshot is written and fsynced, the rename has not happened. The
+   previous barrier's file must stay the newest valid one, and the
+   temporary must not be left behind. (A real power cut cannot be
+   simulated in a test; this pins the ordering that makes one safe.) *)
+let test_crash_before_rename () =
+  with_dir "snap-durable" (fun dir ->
+      let doc b = Json.Obj [ ("barrier", Json.Num (float_of_int b)) ] in
+      ignore (Snapshot.write ~dir ~barrier:1 (doc 1));
+      let fired = ref false in
+      (match
+         Snapshot.write ~dir ~barrier:2
+           ~inject:(fun () ->
+             fired := true;
+             (* the new data is complete on disk at this point *)
+             Array.iter
+               (fun f ->
+                 if Filename.check_suffix f ".tmp" then
+                   check Alcotest.string "temporary holds the whole document"
+                     (Json.to_string (doc 2))
+                     (Io.read_file (Filename.concat dir f)))
+               (Sys.readdir dir);
+             failwith "power cut")
+           (doc 2)
+       with
+      | _ -> Alcotest.fail "a write that crashed before its rename returned"
+      | exception Failure _ -> ());
+      Alcotest.(check bool) "fault fired" true !fired;
+      (match Snapshot.latest_valid ~dir () with
+      | Some (1, _, j) -> Alcotest.(check bool) "barrier 1 intact" true (Json.equal j (doc 1))
+      | Some (b, _, _) -> Alcotest.failf "newest valid snapshot is barrier %d" b
+      | None -> Alcotest.fail "no valid snapshot left");
+      Alcotest.(check bool) "no barrier-2 file" false
+        (Sys.file_exists (Snapshot.path ~dir ~barrier:2));
+      Alcotest.(check bool) "no temp files left" true (no_tmp_leftovers dir))
+
+(* ------------------------------------------------------------------ *)
+(* Format fixtures                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* test/fixtures/v2-* are version-2 snapshots written by the commit before
+   version 3 (test/fixtures/README.md has the generator). This build must
+   resume each to the report an uninterrupted run produces, and write
+   version-3 snapshots from there on that match the uninterrupted run's
+   byte for byte. The configs below are the generator's. *)
+
+let fixture dir =
+  match Snapshot.latest_valid ~dir:(Filename.concat "fixtures" dir) () with
+  | Some (1, _, doc) -> doc
+  | Some (b, _, _) -> Alcotest.failf "fixture %s: barrier %d, expected 1" dir b
+  | None -> Alcotest.failf "fixture %s missing" dir
+
+let fixture_grid cfg = { cfg with Campaign.duration = 60.0; snapshot_every = 20.0 }
+
+let fixture_syz_cfg = fixture_grid { cfg with seed_corpus = seeds; seed = 7 }
+
+let fixture_snowplow_cfg = fixture_grid aux_cfg
+
+let check_version2 doc =
+  check Alcotest.int "fixture is a version-2 document" 2
+    (Json.Decode.int_field "version" doc)
+
+let snapshot_bytes dir barrier = Io.read_file (Snapshot.path ~dir ~barrier)
+
+(* An uninterrupted run and a run resumed from [doc], each snapshotting
+   into its own directory: the reports and every snapshot the resumed run
+   wrote (barriers 2 and 3) must be byte-equal. *)
+let check_fixture_resume
+    ~(run :
+       snapshot_dir:string ->
+       ?restore:Json.t ->
+       unit ->
+       (Campaign.report, string) result) doc =
+  let oracle =
+    with_dir "fixture-fresh" (fun dir ->
+        match run ~snapshot_dir:dir () with
+        | Ok r -> report_bytes r
+        | Error e -> Alcotest.failf "uninterrupted run failed: %s" e)
+  in
+  with_dir "fixture-resumed" (fun dir ->
+      match run ~snapshot_dir:dir ~restore:doc () with
+      | Error e -> Alcotest.failf "resume from the v2 fixture failed: %s" e
+      | Ok r ->
+        check Alcotest.string "resumed report byte-identical" oracle (report_bytes r);
+        List.iter
+          (fun b ->
+            let written = snapshot_bytes dir b in
+            (match Json.of_string written with
+            | Ok j ->
+              check Alcotest.int "written as version 3" Snapshot.format_version
+                (Json.Decode.int_field "version" j)
+            | Error e -> Alcotest.failf "snapshot %d unreadable: %s" b e);
+            check Alcotest.string
+              (Printf.sprintf "snapshot %d byte-identical" b)
+              (snapshot_bytes "fixture-fresh" b) written)
+          [ 2; 3 ])
+
+let test_fixture_syzkaller () =
+  let doc = fixture "v2-syzkaller-jobs2" in
+  check_version2 doc;
+  (match
+     Json.Decode.run (fun () ->
+         Campaign.validate_snapshot ~snapshot:doc ~jobs:2 fixture_syz_cfg)
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "v2 fixture rejected: %s" e);
+  check_fixture_resume doc ~run:(fun ~snapshot_dir ?restore () ->
+      run_campaign ~snapshot_dir ?restore ~jobs:2 fixture_syz_cfg)
+
+let test_fixture_snowplow () =
+  let doc = fixture "v2-snowplow-jobs1" in
+  check_version2 doc;
+  Alcotest.(check bool) "fixture carries aux state" true
+    (match Json.member "aux" doc with Some (Json.Obj _) -> true | _ -> false);
+  check_fixture_resume doc ~run:(fun ~snapshot_dir ?restore () ->
+      let service =
+        Snowplow.Launch.of_inference ~tenant_jobs:[| 1 |] (inference ())
+      in
+      let { Snowplow.Launch.strategy_for; on_barrier; aux } =
+        Snowplow.Launch.snowplow_lane service ~tenant:0 kernel
+      in
+      run_campaign ~snapshot_dir ?restore ~on_barrier ~aux ~jobs:1 ~strategy_for
+        fixture_snowplow_cfg)
+
+(* The scheduler tree: two syzkaller tenants killed after two slices,
+   resumed under a fresh scheduler; each tenant's report must equal its
+   uninterrupted solo run. *)
+let test_fixture_scheduler_tree () =
+  let module Scheduler = Sp_fuzz.Scheduler in
+  let tenant_cfg seed =
+    fixture_grid
+      { Campaign.default_config with
+        seed_corpus = Gen.corpus (Rng.create (seed lxor 0x5eed)) db ~size:30;
+        seed }
+  in
+  let vm_for seed s = Vm.create ~seed:(seed + (7919 * s)) kernel in
+  let tenants = [ ("alpha", 7, 2); ("beta", 23, 1) ] in
+  let resumed =
+    match
+      Scheduler.run ~workers:2
+        (List.map
+           (fun (name, seed, jobs) ->
+             let doc = fixture ("v2-sched/" ^ name) in
+             check_version2 doc;
+             Scheduler.tenant ~restore:doc ~name ~jobs ~vm_for:(vm_for seed)
+               ~strategy_for (tenant_cfg seed))
+           tenants)
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "scheduler resume from the v2 tree failed: %s" e
+  in
+  List.iter
+    (fun (name, seed, jobs) ->
+      let solo =
+        report_bytes
+          (Campaign.run
+             (Campaign.create_instance ~jobs ~vm_for:(vm_for seed) ~strategy_for
+                (tenant_cfg seed)))
+      in
+      let tr =
+        List.find (fun tr -> tr.Scheduler.tr_name = name) resumed.Scheduler.sr_tenants
+      in
+      Alcotest.(check bool) (name ^ " completed") true tr.Scheduler.tr_completed;
+      check Alcotest.string (name ^ " resumed report byte-identical to solo") solo
+        (report_bytes tr.Scheduler.tr_report))
+    tenants
+
+(* A version this build cannot read is refused by the typed decode error,
+   which names the version — before any VM or strategy is built. *)
+let test_unknown_version_rejected () =
+  let doc = fixture "v2-syzkaller-jobs2" in
+  let v4 =
+    match doc with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map (fun (k, v) -> if k = "version" then (k, Json.Num 4.0) else (k, v)) fields)
+    | _ -> Alcotest.fail "fixture is not an object"
+  in
+  let expected = "snapshot format version 4, this build reads 2 and 3" in
+  (match
+     Campaign.validate_snapshot ~snapshot:v4 ~jobs:2 fixture_syz_cfg
+   with
+  | () -> Alcotest.fail "version 4 accepted"
+  | exception Json.Decode.Error msg -> check Alcotest.string "typed error" expected msg);
+  match run_campaign ~restore:v4 ~jobs:2 fixture_syz_cfg with
+  | Ok _ -> Alcotest.fail "campaign resumed from a version-4 document"
+  | Error msg -> check Alcotest.string "create_instance refuses it" expected msg
+
+(* Every committed JSON document stays within the parser's nesting bound. *)
+let test_committed_documents_parse () =
+  let rec files dir =
+    Array.to_list (Sys.readdir dir)
+    |> List.concat_map (fun f ->
+           let p = Filename.concat dir f in
+           if Sys.is_directory p then files p
+           else if Filename.check_suffix f ".json" then [ p ]
+           else [])
+  in
+  let docs = files "../examples" @ files "fixtures" in
+  Alcotest.(check bool) "found the examples and fixtures" true (List.length docs >= 7);
+  List.iter
+    (fun p ->
+      match Json.of_string (Io.read_file p) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" p e)
+    docs
+
+(* ------------------------------------------------------------------ *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -441,7 +652,9 @@ let () =
         [ Alcotest.test_case "write/read/overwrite" `Quick
             test_write_atomic_roundtrip;
           Alcotest.test_case "interrupted write keeps previous file" `Quick
-            test_write_atomic_interrupted ] );
+            test_write_atomic_interrupted;
+          Alcotest.test_case "crash between fsync and rename" `Quick
+            test_crash_before_rename ] );
       ( "snapshot-files",
         [ Alcotest.test_case "path layout" `Quick test_snapshot_path_layout;
           Alcotest.test_case "write/read round-trip" `Quick
@@ -465,4 +678,15 @@ let () =
           Alcotest.test_case "latest snapshot in a dir" `Quick
             test_snapshot_latest;
           Alcotest.test_case "snowplow resume == uninterrupted" `Slow
-            test_snowplow_resume_matches_uninterrupted ] ) ]
+            test_snowplow_resume_matches_uninterrupted ] );
+      ( "fixtures",
+        [ Alcotest.test_case "v2 syzkaller jobs 2 resumes" `Quick
+            test_fixture_syzkaller;
+          Alcotest.test_case "v2 snowplow jobs 1 with aux resumes" `Quick
+            test_fixture_snowplow;
+          Alcotest.test_case "v2 scheduler tree resumes" `Quick
+            test_fixture_scheduler_tree;
+          Alcotest.test_case "version 4 rejected" `Quick
+            test_unknown_version_rejected;
+          Alcotest.test_case "committed documents parse" `Quick
+            test_committed_documents_parse ] ) ]

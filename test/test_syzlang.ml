@@ -236,6 +236,103 @@ let prop_corpus_unique =
       let hashes = List.map Prog.hash progs in
       List.length (List.sort_uniq compare hashes) = List.length hashes)
 
+(* ------------------------------------------------------------------ *)
+(* Fingerprints                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let same_fingerprint a b =
+  let fa = Prog.fingerprint a and fb = Prog.fingerprint b in
+  fa.Prog.fp_hi = fb.Prog.fp_hi && fa.Prog.fp_lo = fb.Prog.fp_lo
+
+(* The executed set relies on this direction: a program that [equal]
+   calls the same — however it was built, including back from its text,
+   as a v2 snapshot restore builds it — has the same fingerprint. Hostile
+   string payloads exercise the full-width string mix. *)
+let prop_fingerprint_respects_equal =
+  let hostile =
+    QCheck.Gen.(string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 20))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"equal programs share a fingerprint, across print/parse"
+    (QCheck.make
+       ~print:(fun (p, s) -> Prog.to_string p ^ "  [payload " ^ String.escaped s ^ "]")
+       QCheck.Gen.(pair (QCheck.gen prog_gen) hostile))
+    (fun (p, s) ->
+      let p =
+        List.fold_left
+          (fun p (path, ty) ->
+            match ty with Ty.Str _ -> Prog.set p path (Value.Vstr s) | _ -> p)
+          p (Prog.mutable_nodes p)
+      in
+      let copy = Array.map (fun c -> { c with Prog.args = List.map Fun.id c.Prog.args }) p in
+      same_fingerprint p copy
+      &&
+      match Parser.program db (Prog.to_string p) with
+      | Ok p' -> Prog.equal p p' && same_fingerprint p p'
+      | Error _ -> false)
+
+(* Any single leaf edit moves the fingerprint: values that differ only in
+   their constructor, a string's bytes or a list's shape must not alias. *)
+let test_fingerprint_separates () =
+  let p = Gen.program (Rng.create 11) db () in
+  let leaves =
+    List.filter_map
+      (fun (path, (ty : Ty.t)) ->
+        match ty with
+        | Ty.Int _ | Ty.Flags _ | Ty.Buffer _ | Ty.Str _ -> Some path
+        | _ -> None)
+      (Prog.arg_nodes p)
+  in
+  Alcotest.(check bool) "program has leaves to edit" true (leaves <> []);
+  List.iter
+    (fun path ->
+      let edited =
+        match Prog.get p path with
+        | Value.Vint n -> Value.Vint (n + 1)
+        | Value.Vflags n -> Value.Vflags (n lxor 1)
+        | Value.Vbuf { len; seed } -> Value.Vbuf { len; seed = seed + 1 }
+        | Value.Vstr s -> Value.Vstr (s ^ "\000")
+        | v -> v
+      in
+      let p' = Prog.set p path edited in
+      Alcotest.(check bool)
+        (Prog.path_to_string path ^ ": fingerprint follows equality")
+        (Prog.equal p p') (same_fingerprint p p'))
+    leaves;
+  let tag_pairs =
+    [ (Value.Vint 3, Value.Vflags 3); (Value.Vlen 0, Value.Vconst 0);
+      (Value.Vptr None, Value.Vstruct []); (Value.Vstr "", Value.Vstruct []);
+      (Value.Vstruct [ Value.Vstruct [] ], Value.Vstruct [ Value.Vptr None ]);
+      (Value.Vstr "abcdefgh", Value.Vstr "abcdefg\000h");
+      (Value.Vstr "abcdefgh", Value.Vstr "abcdefgi");
+      (Value.Vstr "abcdefg", Value.Vstr "bbcdefg"); (Value.Vstr "\000", Value.Vstr "\255") ]
+  in
+  let one_call v =
+    [| { Prog.spec = (p.(0)).Prog.spec; args = [ v ] } |]
+  in
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check bool)
+        (Value.to_string a ^ " vs " ^ Value.to_string b)
+        false
+        (same_fingerprint (one_call a) (one_call b)))
+    tag_pairs
+
+(* One pass, no allocation but the 3-word result record. *)
+let test_fingerprint_allocation () =
+  let progs = Gen.corpus (Rng.create 5) db ~size:20 in
+  let rounds = 500 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    List.iter (fun p -> ignore (Sys.opaque_identity (Prog.fingerprint p))) progs
+  done;
+  let words = Gc.minor_words () -. before in
+  let calls = float_of_int (rounds * List.length progs) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per call (bound 3.01)" (words /. calls))
+    true
+    (words /. calls <= 3.01)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -259,6 +356,10 @@ let () =
           Alcotest.test_case "arg nodes" `Quick test_arg_nodes_count;
           Alcotest.test_case "fix_lens" `Quick test_fix_lens;
           Alcotest.test_case "parser errors" `Quick test_parser_errors;
+          Alcotest.test_case "fingerprint separates edits" `Quick
+            test_fingerprint_separates;
+          Alcotest.test_case "fingerprint allocates only its result" `Quick
+            test_fingerprint_allocation;
         ] );
       qsuite "prog-props"
         [
@@ -270,5 +371,6 @@ let () =
           prop_remove_call_valid;
           prop_insert_call_shifts_resources;
           prop_corpus_unique;
+          prop_fingerprint_respects_equal;
         ];
     ]

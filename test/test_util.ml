@@ -781,6 +781,109 @@ let test_metrics_merge_batching_invariant =
         && Float.equal m.Metrics.p99 d.Metrics.p99
       | _ -> false)
 
+(* Past the reservoir size the merge must still add count, sum, min and
+   max exactly: the report's merged histograms (vm.exec_wall_s over a
+   multi-hour campaign) otherwise show n=1024 for ~10^5 executions. *)
+let test_metrics_merge_exact () =
+  let big = Metrics.create () and small = Metrics.create () in
+  for i = 1 to 5_000 do
+    Metrics.observe big "h" (float_of_int i)
+  done;
+  for i = 5_001 to 5_100 do
+    Metrics.observe small "h" (float_of_int i)
+  done;
+  let merged = Metrics.create () in
+  Metrics.merge_into ~dst:merged big;
+  Metrics.merge_into ~dst:merged small;
+  let count r = match Metrics.summary r "h" with Some s -> s.Metrics.count | None -> 0 in
+  match Metrics.summary merged "h" with
+  | None -> Alcotest.fail "histogram not merged"
+  | Some s ->
+    Alcotest.(check int) "merged count = sum of counts" (count big + count small)
+      s.Metrics.count;
+    Alcotest.(check (float 0.0)) "exact sum" (5100.0 *. 5101.0 /. 2.0) s.Metrics.sum;
+    Alcotest.(check (float 0.0)) "exact min" 1.0 s.Metrics.min;
+    Alcotest.(check (float 0.0)) "exact max" 5100.0 s.Metrics.max;
+    Alcotest.(check bool) "sampled p50 near the middle" true
+      (s.Metrics.p50 > 0.4 *. 5100.0 && s.Metrics.p50 < 0.6 *. 5100.0);
+    (* A merged registry merges on exactly, as the scheduler folds the
+       campaign's report registry into its own. *)
+    let again = Metrics.create () in
+    Metrics.merge_into ~dst:again merged;
+    Alcotest.(check int) "merging a merged registry keeps the count" 5_100
+      (count again)
+
+(* ------------------------------------------------------------------ *)
+(* Fpset                                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Fpset = Sp_util.Fpset
+
+type fp_op = Add of int * int | Mem of int * int | Clear
+
+(* Keys from a small pool collide in the probe sequence and repeat, so
+   growth, re-insertion and the (0, 0) key are all exercised; the pool
+   includes negative halves, which sort above every non-negative one. *)
+let fp_op_gen =
+  let half = QCheck.Gen.oneofl [ 0; 1; 2; 17; -1; min_int; max_int; 1 lsl 40 ] in
+  let key = QCheck.Gen.(pair half (oneof [ half; int_bound 300 ])) in
+  QCheck.Gen.(
+    frequency
+      [ (12, map (fun (a, b) -> Add (a, b)) key);
+        (6, map (fun (a, b) -> Mem (a, b)) key);
+        (1, return Clear) ])
+
+let unsigned_order (a, b) (c, d) =
+  match Int.compare (a lxor min_int) (c lxor min_int) with
+  | 0 -> Int.compare (b lxor min_int) (d lxor min_int)
+  | n -> n
+
+let test_fpset_model =
+  QCheck.Test.make ~count:300 ~name:"Fpset op sequences match a Hashtbl model"
+    QCheck.(make QCheck.Gen.(list_size (int_range 0 400) fp_op_gen))
+    (fun ops ->
+      let set = Fpset.create () and model = Hashtbl.create 16 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (hi, lo) ->
+            let fresh = not (Hashtbl.mem model (hi, lo)) in
+            Hashtbl.replace model (hi, lo) ();
+            Fpset.add set hi lo = fresh
+          | Mem (hi, lo) -> Fpset.mem set hi lo = Hashtbl.mem model (hi, lo)
+          | Clear ->
+            Hashtbl.reset model;
+            Fpset.clear set;
+            true)
+          && Fpset.length set = Hashtbl.length model)
+        ops
+      &&
+      let dumped = ref [] in
+      Fpset.iter_sorted (fun hi lo -> dumped := (hi, lo) :: !dumped) set;
+      List.rev !dumped
+      = List.sort unsigned_order (Hashtbl.fold (fun k () acc -> k :: acc) model []))
+
+let test_fpset_hex =
+  QCheck.Test.make ~count:500 ~name:"Fpset hex text round-trips and sorts numerically"
+    QCheck.(pair (pair int int) (pair int int))
+    (fun ((a, b), (c, d)) ->
+      let x = Fpset.to_hex a b and y = Fpset.to_hex c d in
+      String.length x = 32
+      && Fpset.of_hex x = Some (a, b)
+      && compare (String.compare x y) 0 = compare (unsigned_order (a, b) (c, d)) 0)
+
+let test_fpset_hex_rejects () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" s) true (Fpset.of_hex s = None))
+    [ ""; String.make 31 '0'; String.make 33 '0';
+      "8" ^ String.make 31 '0';  (* first half past 63 bits *)
+      String.make 16 '0' ^ "f" ^ String.make 15 '0';
+      String.make 31 '0' ^ "A"; String.make 31 '0' ^ "g";
+      "0_" ^ String.make 30 '0'; "0x" ^ String.make 30 '0' ];
+  Alcotest.(check bool) "largest pair accepted" true
+    (Fpset.of_hex ("7" ^ String.make 15 'f' ^ "7" ^ String.make 15 'f') = Some (-1, -1))
+
 (* ------------------------------------------------------------------ *)
 (* Table                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -945,8 +1048,13 @@ let () =
           Alcotest.test_case "reservoir bounded" `Quick test_metrics_reservoir_bounded;
           Alcotest.test_case "time and render" `Quick test_metrics_time_and_render;
           Alcotest.test_case "merge" `Quick test_metrics_merge;
+          Alcotest.test_case "merge past the reservoir is exact" `Quick
+            test_metrics_merge_exact;
         ] );
       qsuite "metrics-props" [ test_metrics_merge_batching_invariant ];
+      ( "fpset",
+        [ Alcotest.test_case "malformed hex rejected" `Quick test_fpset_hex_rejects ] );
+      qsuite "fpset-props" [ test_fpset_model; test_fpset_hex ];
       ( "table",
         [
           Alcotest.test_case "renders aligned" `Quick test_table_renders;
