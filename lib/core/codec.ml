@@ -1,8 +1,7 @@
 (* JSON codecs for the snowplow-layer snapshot state (inference service,
-   funnel, prediction caches). Programs travel as their canonical text —
-   the same convention as the campaign snapshots — and cache keys as
-   int64 hex strings, because [Inference.targets_key] mixes hashes past
-   the float-exact integer range. *)
+   funnel, prediction caches). Programs that must run again travel as
+   their canonical text — the same convention as the campaign snapshots
+   — and program identities as fixed-width hex fingerprints. *)
 
 module Json = Sp_obs.Json
 module Prog = Sp_syzlang.Prog
@@ -43,15 +42,15 @@ let paths_of_json j =
   | Json.Arr items -> List.map path_of_json items
   | _ -> Json.Decode.error "paths: expected array"
 
-let key_to_json k = Json.Decode.int64_to_json (Int64.of_int k)
+let fingerprint_to_json fp = Json.Str (Prog.fingerprint_to_hex fp)
 
-let key_of_json name j =
+let fingerprint_of_json name j =
   match j with
-  | Json.Str _ ->
-    (* [Decode.int64_field] is the only int64 reader; borrow it through
-       a one-field wrapper object. *)
-    Int64.to_int (Json.Decode.int64_field "key" (Json.Obj [ ("key", j) ]))
-  | _ -> Json.Decode.error "%s: expected an int64 hex string" name
+  | Json.Str s -> (
+    match Prog.fingerprint_of_hex s with
+    | Some fp -> fp
+    | None -> Json.Decode.error "%s: bad fingerprint %S" name s)
+  | _ -> Json.Decode.error "%s: expected a fingerprint string" name
 
 let int_list_to_json xs =
   Json.Arr (List.map (fun i -> Json.Num (float_of_int i)) xs)

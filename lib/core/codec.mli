@@ -1,9 +1,9 @@
 (** JSON codecs shared by the snowplow-layer snapshot state
     ({!Inference.state_json}, {!Funnel.state_json},
-    {!Hybrid.predictions_json}). Programs travel as canonical text,
-    cache keys as int64 hex strings ([Inference.targets_key] mixes
-    hashes past the float-exact integer range). All [_of_json] readers
-    raise [Sp_obs.Json.Decode.Error] on malformed input. *)
+    {!Hybrid.predictions_json}). Programs that must run again travel as
+    canonical text; cache, memo and inbox keys as the program's
+    fingerprint in its 32-digit hex form. All [_of_json] readers raise
+    [Sp_obs.Json.Decode.Error] on malformed input. *)
 
 val prog_to_json : Sp_syzlang.Prog.t -> Sp_obs.Json.t
 
@@ -22,10 +22,11 @@ val paths_to_json : Sp_syzlang.Prog.path list -> Sp_obs.Json.t
 
 val paths_of_json : Sp_obs.Json.t -> Sp_syzlang.Prog.path list
 
-val key_to_json : int -> Sp_obs.Json.t
-(** Cache key as a 16-digit hex string. *)
+val fingerprint_to_json : Sp_syzlang.Prog.fingerprint -> Sp_obs.Json.t
+(** {!Sp_syzlang.Prog.fingerprint_to_hex} as a JSON string. *)
 
-val key_of_json : string -> Sp_obs.Json.t -> int
+val fingerprint_of_json : string -> Sp_obs.Json.t -> Sp_syzlang.Prog.fingerprint
+(** [fingerprint_of_json name j]; [name] labels decode errors. *)
 
 val int_list_to_json : int list -> Sp_obs.Json.t
 

@@ -33,10 +33,9 @@ type lane = {
      / inference.timeout@N sites. Process-local bookkeeping, not
      persisted: a resumed run restarts its fault ordinals. *)
   mutable ln_reqs : int;
-  (* (hash, prog, sends) for in-flight requests on their 2nd+ attempt;
-     first attempts are implicit. Hash-keyed with structural
-     confirmation, like every other prog-keyed map here. *)
-  mutable ln_attempts : (int * Prog.t * int) list;
+  (* (fingerprint, sends) for in-flight requests on their 2nd+ attempt;
+     first attempts are implicit. *)
+  mutable ln_attempts : (Prog.fingerprint * int) list;
   mutable ln_retries : retry list;
   mutable ln_shed : int;  (* fresh requests refused while not Closed *)
   mutable ln_errors : int;  (* timeouts + injected request failures *)
@@ -64,7 +63,7 @@ type t = {
   offsets : int array;
   counts : int array;
   outboxes : (Prog.t * int list) Fqueue.t array;
-  inboxes : (Prog.t * Prog.path list) Fqueue.t array;
+  inboxes : (Prog.fingerprint * Prog.path list) Fqueue.t array;
   (* Written by shard domains during an epoch, read at the barrier; the
      epochs-are-quiesced contract (flush only at barriers) is the
      synchronization, not a lock. Counters are per-shard slots for the
@@ -163,21 +162,20 @@ let endpoint_for t ~tenant ~shard =
     ep_poll = (fun ~now:_ -> Fqueue.drain inbox);
   }
 
-(* Hash-keyed attempt bookkeeping with structural confirmation. *)
-let attempts_take ln h prog =
+(* Attempt bookkeeping, keyed by the request's fingerprint. *)
+let attempts_take ln fp =
   let rec go acc = function
     | [] -> (1, ln.ln_attempts)
-    | (h', p, n) :: rest when h' = h && Prog.equal p prog ->
-        (n, List.rev_append acc rest)
+    | (fp', n) :: rest when fp' = fp -> (n, List.rev_append acc rest)
     | e :: rest -> go (e :: acc) rest
   in
   let n, remaining = go [] ln.ln_attempts in
   ln.ln_attempts <- remaining;
   n
 
-let attempts_put ln h prog n =
-  ignore (attempts_take ln h prog);
-  ln.ln_attempts <- ln.ln_attempts @ [ (h, prog, n) ]
+let attempts_put ln fp n =
+  ignore (attempts_take ln fp);
+  ln.ln_attempts <- ln.ln_attempts @ [ (fp, n) ]
 
 let breaker_code = function
   | Breaker.Closed -> 0.0
@@ -221,7 +219,7 @@ let flush_degraded t ~tenant ~now dg fresh =
     (fun (prog, targets) ->
       ln.ln_errors <- ln.ln_errors + 1;
       Breaker.record_error ln.ln_breaker ~now;
-      let attempt = attempts_take ln (Prog.hash prog) prog in
+      let attempt = attempts_take ln (Prog.fingerprint prog) in
       if attempt <= dg.dg_retries && targets <> [] then
         ln.ln_retries <-
           ln.ln_retries
@@ -270,7 +268,7 @@ let flush_degraded t ~tenant ~now dg fresh =
         Inference.request t.service ~tag:tenant ~extra_latency:extra
           ~record_targets:armed ~now prog ~targets
       in
-      if ok && attempt > 1 then attempts_put ln (Prog.hash prog) prog attempt
+      if ok && attempt > 1 then attempts_put ln (Prog.fingerprint prog) attempt
     end
   in
   let due, later = List.partition (fun r -> r.rt_due <= ord) ln.ln_retries in
@@ -295,15 +293,19 @@ let flush_degraded t ~tenant ~now dg fresh =
           send p tg 1;
           ln.ln_shed <- ln.ln_shed + List.length rest
       | [], [] -> ()));
-  let completed = Inference.poll_detailed t.service ~tag:tenant ~now () in
+  let completed =
+    List.map
+      (fun (prog, paths, latency) -> (Prog.fingerprint prog, paths, latency))
+      (Inference.poll_detailed t.service ~tag:tenant ~now ())
+  in
   List.iter
-    (fun (prog, _paths, latency) ->
+    (fun (fp, _paths, latency) ->
       Breaker.record_success ln.ln_breaker ~now ~latency;
-      ignore (attempts_take ln (Prog.hash prog) prog))
+      ignore (attempts_take ln fp))
     completed;
   ln.ln_degraded <- Breaker.state ln.ln_breaker ~now <> Breaker.Closed;
   note_breaker_state t ~tenant ln ~now;
-  List.map (fun (prog, paths, _) -> (prog, paths)) completed
+  List.map (fun (fp, paths, _) -> (fp, paths)) completed
 
 let flush_tenant t ~tenant ~now =
   check_tenant "Funnel.flush_tenant" t tenant;
@@ -331,7 +333,9 @@ let flush_tenant t ~tenant ~now =
                barrier must not be able to steal (or even observe) them,
                or a tenant's prediction stream would depend on the
                schedule. *)
-            Inference.poll t.service ~tag:tenant ~now ()
+            List.map
+              (fun (prog, paths) -> (Prog.fingerprint prog, paths))
+              (Inference.poll t.service ~tag:tenant ~now ())
       in
       for s = off to off + n - 1 do
         List.iter (fun p -> Fqueue.push t.inboxes.(s) p) completed
@@ -393,12 +397,12 @@ let out_of_json ~parse j =
   ( Codec.prog_of_json ~parse "outbox prog" (Json.Decode.field "prog" j),
     Codec.int_list_of_json "outbox targets" (Json.Decode.field "targets" j) )
 
-let in_to_json (prog, paths) =
+let in_to_json (fp, paths) =
   Json.Obj
-    [ ("prog", Codec.prog_to_json prog); ("paths", Codec.paths_to_json paths) ]
+    [ ("fp", Codec.fingerprint_to_json fp); ("paths", Codec.paths_to_json paths) ]
 
-let in_of_json ~parse j =
-  ( Codec.prog_of_json ~parse "inbox prog" (Json.Decode.field "prog" j),
+let in_of_json j =
+  ( Codec.fingerprint_of_json "inbox fp" (Json.Decode.field "fp" j),
     Codec.paths_of_json (Json.Decode.field "paths" j) )
 
 let slot_arrays_json t =
@@ -443,9 +447,9 @@ let lane_json t i ln =
       ( "attempts",
         Json.Arr
           (List.map
-             (fun (_, prog, n) ->
+             (fun (fp, n) ->
                Json.Obj
-                 [ ("prog", Codec.prog_to_json prog);
+                 [ ("fp", Codec.fingerprint_to_json fp);
                    ("attempt", Json.Num (float_of_int n))
                  ])
              ln.ln_attempts) );
@@ -461,8 +465,8 @@ let lane_restore ~parse ln j =
   ln.ln_attempts <-
     List.map
       (fun aj ->
-        let prog = Codec.prog_of_json ~parse "attempt prog" (field "prog" aj) in
-        (Prog.hash prog, prog, int_field "attempt" aj))
+        ( Codec.fingerprint_of_json "attempt fp" (field "fp" aj),
+          int_field "attempt" aj ))
       (arr_field "attempts" j);
   ln.ln_retries <- List.map (retry_of_json ~parse) (arr_field "retries" j);
   ln.ln_shed <- int_field "shed" j;
@@ -510,7 +514,7 @@ let restore_state t ~parse j =
     | _ -> error "Funnel.restore_state: %s: expected array" name
   in
   slots "outboxes" (out_of_json ~parse) t.outboxes;
-  slots "inboxes" (in_of_json ~parse) t.inboxes;
+  slots "inboxes" in_of_json t.inboxes;
   let ints name dst =
     let xs = Codec.int_list_of_json name (field name j) in
     if List.length xs <> total then

@@ -10,14 +10,17 @@
     cross-domain contention, no locks. At the barrier (on the main
     domain, via [Campaign.create_instance ~on_barrier]) {!flush_tenant}
     forwards the outboxes to the service in shard order as one
-    {!Inference.request_batch} and broadcasts every completed prediction
-    to all inboxes, keeping the run bit-for-bit reproducible given
-    [(seed, jobs)]. [Launch.snowplow_lane] is that wiring.
+    {!Inference.request_batch} and broadcasts every completed prediction,
+    keyed by its base test's {!Sp_syzlang.Prog.fingerprint} (computed
+    once per delivery), to all inboxes, keeping the run bit-for-bit
+    reproducible given [(seed, jobs)]. [Launch.snowplow_lane] is that
+    wiring.
 
     Predictions are broadcast (rather than routed to the requesting
     shard) because shards frequently mutate the same corpus entries: a
     prediction for a base test is useful to every shard that holds it,
-    and each shard's strategy memoizes by base-program hash anyway.
+    and each shard's strategy memoizes by base-program fingerprint
+    anyway.
 
     {b Multi-tenancy.} {!create_multi} gives each of N campaigns its own
     lane — a private range of shard slots — over the single shared
@@ -144,13 +147,16 @@ val lane_stats : t -> tenant:int -> now:float -> lane_stats option
     unobserved run would persist. *)
 
 val state_json : t -> Sp_obs.Json.t
-(** In-flight lane state — outbox/inbox contents and the
+(** In-flight lane state — outbox contents (program text: they run
+    again), inbox contents (fingerprint and paths) and the
     deferred/dropped counters — for campaign snapshots. The service's
     own state is {!Inference.state_json}, serialized separately (it is
     shared across tenants). With degradation armed, a [lanes] field
     (breaker state, retry ledger, attempt counts, per-tenant flush
     ordinals) is appended {e only once some lane has left its default
-    state}; restoring requires the funnel to be armed the same way. *)
+    state}; the retry ledger keeps program text (retries run again), the
+    attempt counts are keyed by fingerprint. Restoring requires the
+    funnel to be armed the same way. *)
 
 val restore_state :
   t -> parse:(string -> (Sp_syzlang.Prog.t, string) result) -> Sp_obs.Json.t -> unit

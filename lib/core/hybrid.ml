@@ -38,33 +38,21 @@ let pick_targets _rng kernel ~covered (entry : Corpus.entry) ~max_targets =
     uncovered_entries
   |> List.filteri (fun i _ -> i < max_targets)
 
-(* Delivered predictions, keyed by program hash. Bounded (LRU, no TTL —
-   recency alone bounds it) and collision-guarded: the base program is
-   stored alongside its paths and confirmed structurally on lookup, so a
-   hash collision degrades to "no prediction" instead of mutating the
-   wrong argument of the wrong program. The LRU clock is irrelevant
-   without a TTL, so lookups pass now = 0. *)
-type predictions = (int, Prog.t * Prog.path list) Sp_util.Lru.t
+(* Delivered predictions, keyed by the base program's fingerprint.
+   Bounded (LRU, no TTL — recency alone bounds it). The LRU clock is
+   irrelevant without a TTL, so lookups pass now = 0. *)
+type predictions = (Prog.fingerprint, Prog.path list) Sp_util.Lru.t
 
 let make_predictions () : predictions = Sp_util.Lru.create ~capacity:4096 ()
 
 let predictions_json (p : predictions) =
-  Codec.lru_to_json ~key_to_json:Codec.key_to_json
-    ~value_to_json:(fun (prog, paths) ->
-      Sp_obs.Json.Obj
-        [ ("prog", Codec.prog_to_json prog);
-          ("paths", Codec.paths_to_json paths)
-        ])
-    p
+  Codec.lru_to_json ~key_to_json:Codec.fingerprint_to_json
+    ~value_to_json:Codec.paths_to_json p
 
-let restore_predictions ~parse (p : predictions) j =
+let restore_predictions (p : predictions) j =
   Codec.lru_restore
-    ~key_of_json:(Codec.key_of_json "prediction key")
-    ~value_of_json:(fun v ->
-      ( Codec.prog_of_json ~parse "prediction prog"
-          (Sp_obs.Json.Decode.field "prog" v),
-        Codec.paths_of_json (Sp_obs.Json.Decode.field "paths" v) ))
-    p j
+    ~key_of_json:(Codec.fingerprint_of_json "prediction key")
+    ~value_of_json:Codec.paths_of_json p j
 
 (* Snowplow is Syzkaller with the argument-mutation localizer swapped out
    (§3.4): mutation-type selection, insertion, removal, splicing and their
@@ -80,9 +68,7 @@ let strategy_with ?(mutations_per_base = 8) ?(max_targets = 40) ?insertion
     match predictions with Some p -> p | None -> make_predictions ()
   in
   let find_prediction prog =
-    match Sp_util.Lru.find predictions ~now:0.0 (Prog.hash prog) with
-    | Some (base, paths) when Prog.equal base prog -> Some paths
-    | Some _ | None -> None
+    Sp_util.Lru.find predictions ~now:0.0 (Prog.fingerprint prog)
   in
   let random_localizer = Engine.syzkaller_arg_localizer () in
   let arg_localizer rng prog =
@@ -125,8 +111,7 @@ let strategy_with ?(mutations_per_base = 8) ?(max_targets = 40) ?insertion
   in
   let propose rng ~now ~covered corpus (entry : Corpus.entry) =
     List.iter
-      (fun (prog, paths) ->
-        Sp_util.Lru.put predictions ~now:0.0 (Prog.hash prog) (prog, paths))
+      (fun (fp, paths) -> Sp_util.Lru.put predictions ~now:0.0 fp paths)
       (endpoint.Inference.ep_poll ~now);
     (* While the inference lane is degraded (breaker open), skip target
        selection and the request entirely: the endpoint would refuse it

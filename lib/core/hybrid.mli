@@ -28,22 +28,19 @@ val pick_targets :
     entries of the base test's coverage that the whole campaign has not
     covered yet, reduced to a deterministic pseudo-random subset of
     [max_targets] (determinism keeps the inference cache valid until the
-    frontier changes). *)
+    frontier changes). The subset is ordered by the base's
+    {!Sp_syzlang.Prog.hash}, whose value every snowplow golden fixes. *)
 
 type predictions
-(** A shard strategy's delivered-prediction memo (base-program hash →
-    predicted paths; bounded LRU, collision-guarded). Owned by exactly
-    one strategy instance — never share one across shards. *)
+(** A shard strategy's delivered-prediction memo (base-program
+    fingerprint → predicted paths; bounded LRU). Owned by exactly one
+    strategy instance — never share one across shards. *)
 
 val make_predictions : unit -> predictions
 
 val predictions_json : predictions -> Sp_obs.Json.t
 
-val restore_predictions :
-  parse:(string -> (Sp_syzlang.Prog.t, string) result) ->
-  predictions ->
-  Sp_obs.Json.t ->
-  unit
+val restore_predictions : predictions -> Sp_obs.Json.t -> unit
 (** Restore {!predictions_json} output (recency order and contents
     exactly). Raises [Sp_obs.Json.Decode.Error] on malformed input. *)
 

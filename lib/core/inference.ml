@@ -19,15 +19,6 @@ type pending = {
          byte-identical *)
 }
 
-(* Cache values carry the program (and target set) they were computed for:
-   keys are int hashes, and two distinct queries may collide, so a hit is
-   only a hit after a structural check. *)
-type cached = {
-  src_prog : Prog.t;
-  src_targets : int list;  (* sorted; [] for the per-program soft memo *)
-  answer : Prog.path list;
-}
-
 type t = {
   latency : float;
   capacity_qps : float;
@@ -42,10 +33,11 @@ type t = {
   mutable cache_hits : int;
   mutable cancelled : int;  (* requests removed by [cancel_overdue] *)
   mutable latency_sum : float;
-  cache : (int, cached) Lru.t;
+  (* answers keyed by the base's fingerprint and the sorted target set *)
+  cache : (Prog.fingerprint * int list, Prog.path list) Lru.t;
   (* secondary memo per base test: a recent answer for the same base with a
      slightly different target set is close enough while fresh *)
-  by_prog : (int, cached) Lru.t;
+  by_prog : (Prog.fingerprint, Prog.path list) Lru.t;
   (* per-tenant accounting under the scheduler: tag -> counters *)
   tag_stats : (int, tag_stats) Hashtbl.t;
   metrics : Metrics.t;
@@ -99,28 +91,10 @@ let predict_now t prog ~targets =
     Pmm.predict t.model ~block_embs:t.block_embs graph
   end
 
-let targets_key prog targets =
-  List.fold_left
-    (fun acc b -> (acc * 1000003) lxor b)
-    (Prog.hash prog)
-    (List.sort compare targets)
-
-let lookup t ~now prog ~sorted_targets key =
-  let confirmed ~check_targets = function
-    | Some c
-      when Prog.equal c.src_prog prog
-           && ((not check_targets) || c.src_targets = sorted_targets) ->
-      Some c.answer
-    | Some _ ->
-      (* A different query hashed onto this slot: a miss, not a hit. *)
-      Metrics.incr t.metrics "inference.key_collisions";
-      None
-    | None -> None
-  in
-  match confirmed ~check_targets:true (Lru.find t.cache ~now key) with
+let lookup t ~now fp ~sorted_targets =
+  match Lru.find t.cache ~now (fp, sorted_targets) with
   | Some answer -> Some answer
-  | None ->
-    confirmed ~check_targets:false (Lru.find t.by_prog ~now (Prog.hash prog))
+  | None -> Lru.find t.by_prog ~now fp
 
 let request t ?(tag = 0) ?(extra_latency = 0.0) ?(record_targets = false) ~now
     prog ~targets =
@@ -128,10 +102,10 @@ let request t ?(tag = 0) ?(extra_latency = 0.0) ?(record_targets = false) ~now
   let ts = stats_for t tag in
   ts.ts_requests <- ts.ts_requests + 1;
   let sorted_targets = List.sort compare targets in
-  let key = targets_key prog targets in
+  let fp = Prog.fingerprint prog in
   let enqueue p ok = Fqueue.push t.queue p; ok in
   let full = Fqueue.length t.queue >= t.max_pending in
-  match lookup t ~now prog ~sorted_targets key with
+  match lookup t ~now fp ~sorted_targets with
   | Some _ when full ->
     (* The bound applies to every admission: a memoized answer still
        occupies a pending slot until the fuzzer polls it. *)
@@ -171,10 +145,8 @@ let request t ?(tag = 0) ?(extra_latency = 0.0) ?(record_targets = false) ~now
             predict_now t prog ~targets)
       in
       Metrics.incr t.metrics "inference.computed";
-      Lru.put t.cache ~now key
-        { src_prog = prog; src_targets = sorted_targets; answer = prediction };
-      Lru.put t.by_prog ~now (Prog.hash prog)
-        { src_prog = prog; src_targets = []; answer = prediction };
+      Lru.put t.cache ~now (fp, sorted_targets) prediction;
+      Lru.put t.by_prog ~now fp prediction;
       enqueue
         { ready_at; requested_at = now; prog; prediction; from_cache = false;
           tag; targets = (if record_targets then sorted_targets else []) }
@@ -240,12 +212,16 @@ let request_batch t ?tag ~now reqs =
 
 type endpoint = {
   ep_request : now:float -> Prog.t -> targets:int list -> bool;
-  ep_poll : now:float -> (Prog.t * Prog.path list) list;
+  ep_poll : now:float -> (Prog.fingerprint * Prog.path list) list;
 }
 
 let endpoint t =
   { ep_request = (fun ~now prog ~targets -> request t ~now prog ~targets);
-    ep_poll = (fun ~now -> poll t ~now ()) }
+    ep_poll =
+      (fun ~now ->
+        List.map
+          (fun (prog, paths) -> (Prog.fingerprint prog, paths))
+          (poll t ~now ())) }
 
 let served t = t.served
 
@@ -308,20 +284,16 @@ let pending_of_json ~parse j =
       | Some tj -> Codec.int_list_of_json "targets" tj);
   }
 
-let cached_to_json c =
+let cache_key_to_json (fp, targets) =
   Json.Obj
-    [ ("src_prog", Codec.prog_to_json c.src_prog);
-      ("src_targets", Codec.int_list_to_json c.src_targets);
-      ("answer", Codec.paths_to_json c.answer)
+    [ ("fp", Codec.fingerprint_to_json fp);
+      ("targets", Codec.int_list_to_json targets)
     ]
 
-let cached_of_json ~parse j =
+let cache_key_of_json j =
   let open Json.Decode in
-  {
-    src_prog = Codec.prog_of_json ~parse "cached prog" (field "src_prog" j);
-    src_targets = Codec.int_list_of_json "src_targets" (field "src_targets" j);
-    answer = Codec.paths_of_json (field "answer" j);
-  }
+  ( Codec.fingerprint_of_json "cache key" (field "fp" j),
+    Codec.int_list_of_json "cache key targets" (field "targets" j) )
 
 let state_json t =
   let tag_stats =
@@ -344,11 +316,11 @@ let state_json t =
       ("latency_sum", Json.Num t.latency_sum);
       ("queue", Json.Arr (List.map pending_to_json (Fqueue.to_list t.queue)));
       ( "cache",
-        Codec.lru_to_json ~key_to_json:Codec.key_to_json
-          ~value_to_json:cached_to_json t.cache );
+        Codec.lru_to_json ~key_to_json:cache_key_to_json
+          ~value_to_json:Codec.paths_to_json t.cache );
       ( "by_prog",
-        Codec.lru_to_json ~key_to_json:Codec.key_to_json
-          ~value_to_json:cached_to_json t.by_prog );
+        Codec.lru_to_json ~key_to_json:Codec.fingerprint_to_json
+          ~value_to_json:Codec.paths_to_json t.by_prog );
       ("tag_stats", Json.Arr tag_stats)
     ]
     (* Same conditional-emission rule as pending targets. *)
@@ -370,12 +342,11 @@ let restore_state t ~parse j =
   List.iter
     (fun pj -> Fqueue.push t.queue (pending_of_json ~parse pj))
     (arr_field "queue" j);
+  Codec.lru_restore ~key_of_json:cache_key_of_json
+    ~value_of_json:Codec.paths_of_json t.cache (field "cache" j);
   Codec.lru_restore
-    ~key_of_json:(Codec.key_of_json "cache key")
-    ~value_of_json:(cached_of_json ~parse) t.cache (field "cache" j);
-  Codec.lru_restore
-    ~key_of_json:(Codec.key_of_json "by_prog key")
-    ~value_of_json:(cached_of_json ~parse) t.by_prog (field "by_prog" j);
+    ~key_of_json:(Codec.fingerprint_of_json "by_prog key")
+    ~value_of_json:Codec.paths_of_json t.by_prog (field "by_prog" j);
   Hashtbl.reset t.tag_stats;
   List.iter
     (fun sj ->

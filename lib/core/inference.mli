@@ -9,9 +9,9 @@
     runs); only the delivery time is simulated.
 
     Both prediction caches are bounded LRUs ([Sp_util.Lru]) with TTL
-    expiry, so memory stays constant over arbitrarily long campaigns; cache
-    keys are int hashes and every hit is confirmed structurally before
-    reuse (a hash collision is a miss, never a wrong answer). *)
+    expiry, so memory stays constant over arbitrarily long campaigns. They
+    key a base test by its {!Sp_syzlang.Prog.fingerprint} (computed once
+    per request) and hold only answers, never programs. *)
 
 type t
 
@@ -29,7 +29,7 @@ val create :
   t
 (** Defaults: latency 0.69 s, capacity 57 qps, max_pending 16, cache TTL
     1800 virtual seconds, cache capacity 4096 entries per cache. The cache
-    is keyed on (base test, target set): re-querying the same base against
+    is keyed on (base fingerprint, sorted target set): re-querying the same base against
     the same desired coverage is answered from the memo at zero service
     cost, while any change in the uncovered frontier produces a fresh
     query. [kernel] is the kernel being fuzzed (used to rebuild the query
@@ -116,7 +116,10 @@ val request_batch :
 
 type endpoint = {
   ep_request : now:float -> Sp_syzlang.Prog.t -> targets:int list -> bool;
-  ep_poll : now:float -> (Sp_syzlang.Prog.t * Sp_syzlang.Prog.path list) list;
+  ep_poll :
+    now:float -> (Sp_syzlang.Prog.fingerprint * Sp_syzlang.Prog.path list) list;
+      (** Delivered predictions, each keyed by its base test's
+          fingerprint — all a prediction memo needs. *)
 }
 
 val endpoint : t -> endpoint
@@ -167,8 +170,10 @@ val tenant_stats : t -> tag:int -> int * int * int * int
 
 (** {1 Snapshot codec}
 
-    Queue contents, the virtual clock, both prediction caches (recency
-    order and TTL stamps exactly) and the per-tag stats — everything a
+    Queue contents (as program text: {!cancel_overdue} hands a request
+    back to run again), the virtual clock, both prediction caches
+    (fingerprint keys and answers, recency order and TTL stamps exactly)
+    and the per-tag stats — everything a
     resumed campaign needs for the service to behave bit-for-bit as if
     it had never stopped. Model weights and [inference.*] metrics are
     {e not} included: weights are rebuilt by the caller (training is

@@ -47,6 +47,20 @@ let check_spec s =
         fail "corpus_size: must be >= 0 (got %d)" s.corpus_size
       | _ -> Ok ()
 
+(* A tenant's name is its directory under [serve --snapshot-root] and the
+   prefix of its fault sites and retry labels ([name#N]), so it must be
+   one safe path component: no separator, no [.] or [..], no [#]. *)
+let safe_name name =
+  let n = String.length name in
+  n <= 64
+  && Seq.for_all
+       (fun (i, c) ->
+         match c with
+         | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '-' -> true
+         | '.' -> i > 0
+         | _ -> false)
+       (String.to_seqi name)
+
 let roster_of_string text =
   let module D = Json.Decode in
   let opt name f default tj = if Json.member name tj = None then default else f name tj in
@@ -68,6 +82,11 @@ let roster_of_string text =
       }
     in
     if s.name = "" then D.error "name: must be non-empty";
+    if not (safe_name s.name) then
+      D.error
+        "name: %S is not one path component ([A-Za-z0-9_-] then \
+         [A-Za-z0-9_.-], at most 64 bytes)"
+        s.name;
     Result.iter_error (D.error "%s") (check_spec s);
     s
   in

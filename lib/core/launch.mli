@@ -43,8 +43,11 @@ val roster_of_string : string -> (spec list, string) result
     with fields [name] (required), [system] ([syzkaller] | [snowplow]),
     [jobs], [hours], [run_seed], [weight], [exec_budget] and
     [corpus_size], defaulting as in {!default_spec}. Every entry is
-    decoded and {!check_spec}ed and names must be non-empty and unique;
-    all problems are reported together, one per line. Never raises. *)
+    decoded and {!check_spec}ed, and names must be unique and one safe
+    path component — [[A-Za-z0-9_-][A-Za-z0-9_.-]*], at most 64 bytes —
+    because [serve] writes each tenant's snapshots to [ROOT/<name>] and
+    prefixes its fault sites and retry labels ([name#N]) with it. All
+    problems are reported together, one per line. Never raises. *)
 
 val config : Sp_syzlang.Spec.db -> spec -> Sp_fuzz.Campaign.config
 (** [corpus_size] seed programs generated from [run_seed lxor 0x5eed],

@@ -8,7 +8,14 @@
     caches), the funnel lanes and each shard strategy's prediction memo;
     {!aux} bundles those three into the snapshot's [aux] field
     ({!Sp_fuzz.Campaign.aux}) so a killed-and-resumed snowplow campaign
-    also matches its uninterrupted run exactly. *)
+    also matches its uninterrupted run exactly.
+
+    Caches, memos, inboxes and attempt counts are keyed by program
+    fingerprint; program text is kept only where a program runs again
+    (the service's pending queue, the funnel's outboxes and retries).
+    Snapshot format versions 2 and 3 kept a program text beside every
+    entry; their [aux] is converted on restore by parsing and
+    fingerprinting each stored program. *)
 
 val aux :
   parse:(string -> (Sp_syzlang.Prog.t, string) result) ->

@@ -185,7 +185,7 @@ let report_json r =
 
 type aux = {
   aux_json : unit -> Json.t;
-  aux_restore : Json.t -> unit;
+  aux_restore : version:int -> Json.t -> unit;
 }
 
 type instance = {
@@ -230,8 +230,7 @@ let validate_snapshot ~snapshot ~jobs config =
   let v = int_field "version" snapshot in
   if not (List.mem v Snapshot.readable_versions) then
     error "snapshot format version %d, this build reads %s" v
-      (String.concat " and "
-         (List.map string_of_int Snapshot.readable_versions));
+      (String.concat ", " (List.map string_of_int Snapshot.readable_versions));
   let c = field "config" snapshot in
   let mismatch what = error "snapshot config mismatch: %s differs" what in
   if int_field "seed" c <> config.seed then mismatch "seed";
@@ -388,7 +387,7 @@ let create_instance ?snapshot_dir ?restore ?(on_barrier = fun ~now:_ -> ())
        the snapshot's [aux] field; a caller that supplies an [aux] hook
        gets it back, others ignore it. *)
     (match (aux, Json.member "aux" snap) with
-    | Some a, Some (Json.Obj _ as j) -> a.aux_restore j
+    | Some a, Some (Json.Obj _ as j) -> a.aux_restore ~version j
     | Some _, (Some Json.Null | None) -> ()
     | Some _, Some _ -> error "snapshot aux: expected object or null"
     | None, _ -> ());

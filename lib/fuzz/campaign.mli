@@ -54,14 +54,15 @@ type report = {
 
 type aux = {
   aux_json : unit -> Sp_obs.Json.t;
-  aux_restore : Sp_obs.Json.t -> unit;
+  aux_restore : version:int -> Sp_obs.Json.t -> unit;
 }
 (** Strategy-side state that rides along in barrier snapshots — the hook
     the snowplow layer uses to persist its inference service, funnel and
     prediction caches (see [Snowplow.Persist]). [aux_json] is called
     after every barrier merge, at quiescence (no epoch in flight);
     [aux_restore] is called once by {!create_instance} [~restore] with
-    the snapshot's [aux] field (when it is not [Null]). Campaigns without
+    the snapshot's format version and its [aux] field (when it is not
+    [Null]), so a hook can convert an older layout. Campaigns without
     an [aux] write [Null] and ignore the field on restore. *)
 
 (** {2 Campaign instances}
@@ -202,8 +203,8 @@ val instance_next_time : instance -> float
 
 val validate_snapshot : snapshot:Sp_obs.Json.t -> jobs:int -> config -> unit
 (** Check a snapshot document's format marker, version (one of
-    {!Snapshot.readable_versions}: a version-2 document is converted as
-    it is restored) and config echo against the launch parameters.
+    {!Snapshot.readable_versions}: an older document is converted as it
+    is restored) and config echo against the launch parameters.
     Raises [Sp_obs.Json.Decode.Error] (with a human-readable message
     that names the version, for a version this build cannot read) on
     any mismatch; {!create_instance} calls this on its [restore]

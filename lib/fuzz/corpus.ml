@@ -1,5 +1,6 @@
 module Rng = Sp_util.Rng
 module Prog = Sp_syzlang.Prog
+module Fpset = Sp_util.Fpset
 
 type entry = {
   prog : Prog.t;
@@ -11,11 +12,7 @@ type entry = {
 type t = {
   mutable items : entry array;
   mutable count : int;
-  (* hash -> programs seen with that hash: dedup confirms structural
-     equality, so a hash collision can never silently drop a distinct
-     test *)
-  seen : (int, Prog.t list) Hashtbl.t;
-  hash : Prog.t -> int;
+  seen : Fpset.t;  (* the fingerprint of every entry's program *)
   distance : (entry -> int) option;
   (* directed mode: per-entry distance (parallel to [items]) plus the
      current minimum and the indices achieving it, maintained on [add] so
@@ -25,12 +22,11 @@ type t = {
   mutable best_tier : int list;
 }
 
-let create ?(hash = Prog.hash) ?distance () =
+let create ?distance () =
   {
     items = [||];
     count = 0;
-    seen = Hashtbl.create 256;
-    hash;
+    seen = Fpset.create ();
     distance;
     dists = [||];
     best_dist = max_int;
@@ -44,8 +40,7 @@ let copy t =
   {
     items = Array.copy t.items;
     count = t.count;
-    seen = Hashtbl.copy t.seen;
-    hash = t.hash;
+    seen = Fpset.copy t.seen;
     distance = t.distance;
     dists = Array.copy t.dists;
     best_dist = t.best_dist;
@@ -61,9 +56,8 @@ let nth t i =
 let entries t = List.init t.count (fun i -> t.items.(t.count - 1 - i))
 
 let mem_prog t prog =
-  match Hashtbl.find_opt t.seen (t.hash prog) with
-  | None -> false
-  | Some bucket -> List.exists (Prog.equal prog) bucket
+  let fp = Prog.fingerprint prog in
+  Fpset.mem t.seen fp.Prog.fp_hi fp.Prog.fp_lo
 
 let entry_distance t i =
   if i < 0 || i >= t.count then invalid_arg "Corpus.entry_distance";
@@ -74,11 +68,9 @@ let entry_distance t i =
 let min_distance t = if t.best_tier = [] then None else Some t.best_dist
 
 let add t entry =
-  let h = t.hash entry.prog in
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt t.seen h) in
-  if List.exists (Prog.equal entry.prog) bucket then false
+  let fp = Prog.fingerprint entry.prog in
+  if not (Fpset.add t.seen fp.Prog.fp_hi fp.Prog.fp_lo) then false
   else begin
-    Hashtbl.replace t.seen h (entry.prog :: bucket);
     if t.count = Array.length t.items then begin
       let cap = max 16 (2 * Array.length t.items) in
       let items = Array.make cap entry in

@@ -5,9 +5,9 @@
     coverage so base-test selection and query-graph construction never
     re-execute.
 
-    Deduplication is indexed by content hash but confirmed by structural
-    equality, so two distinct programs whose hashes collide both stay in
-    the corpus. In directed mode the corpus also maintains the minimum
+    Deduplication is by {!Sp_syzlang.Prog.fingerprint}, the program
+    identity every program-keyed set shares: two distinct programs both
+    stay unless they share all 126 bits. In directed mode the corpus also maintains the minimum
     distance-to-target tier incrementally as entries arrive, making
     directed base selection O(1) rather than an O(n) scan per choice. *)
 
@@ -20,17 +20,14 @@ type entry = {
 
 type t
 
-val create :
-  ?hash:(Sp_syzlang.Prog.t -> int) -> ?distance:(entry -> int) -> unit -> t
-(** [hash] defaults to [Prog.hash]; it is an index, not an identity —
-    equality is always confirmed structurally (tests inject degenerate
-    hashes to exercise collisions). [distance] enables directed mode: it is
+val create : ?distance:(entry -> int) -> unit -> t
+(** [distance] enables directed mode: it is
     evaluated once per entry at [add] time (coverage is immutable, so the
     distance is too) and drives [choose_directed]. *)
 
 val copy : t -> t
-(** An independent corpus with the same entries and distance index;
-    entries themselves (immutable) are shared. Each shard epoch runs
+(** An independent corpus with the same entries, fingerprints and
+    distance index; entries themselves (immutable) are shared. Each shard epoch runs
     against a copy of the barrier-frozen global corpus. *)
 
 val size : t -> int
@@ -41,8 +38,8 @@ val entries : t -> entry list
 val nth : t -> int -> entry
 
 val add : t -> entry -> bool
-(** False (and no insertion) when a structurally equal program is already
-    present. *)
+(** False (and no insertion) when a program with the same fingerprint is
+    already present. *)
 
 val mem_prog : t -> Sp_syzlang.Prog.t -> bool
 

@@ -297,12 +297,22 @@ let health_json ~running ~workers ~slices statuses =
       )
     ]
 
-(* Tenant [i] owns trace pids [100 * (i + 1) ..]: disjoint from the
-   scheduler lane (pid 0) and the shared pool workers (100_001 + w) for
-   any plausible jobs count. *)
-let tenant_pid_base i = 100 * (i + 1)
-
-let pool_worker_pid w = 100_001 + w
+(* Trace pids: the scheduler lane is 0, tenant [i] owns the [1 + jobs]
+   pids from [bases.(i)] on (its campaign-main lane, then one per shard),
+   and the shared pool workers follow the last tenant's range. No two
+   lanes share a pid whatever the roster's jobs — [Trace.tracer]
+   memoizes by pid, so a shared pid would hand one ring to two domains.
+   Returns [(bases, first pool-worker pid)]. *)
+let pid_layout tenants =
+  let bases = Array.make (List.length tenants) 0 in
+  let _, workers_base =
+    List.fold_left
+      (fun (i, next) t ->
+        bases.(i) <- next;
+        (i + 1, next + 1 + t.t_jobs))
+      (0, 1) tenants
+  in
+  (bases, workers_base)
 
 let run ?workers ?(trace = Trace.disabled) ?timeseries ?max_slices
     ?(faults = Faults.disabled) ?(max_tenant_retries = 3)
@@ -330,13 +340,14 @@ let run ?workers ?(trace = Trace.disabled) ?timeseries ?max_slices
       in
       let metrics = Metrics.create () in
       let sched_tracer = Trace.tracer trace ~pid:0 ~name:"scheduler" in
+      let pid_bases, worker_pid_base = pid_layout tenants in
       (* All instances are built (and restore snapshots validated) before
          any slice runs, so a bad tenant fails the whole launch instead
          of dying mid-schedule. *)
       let build_instance ~label t i restore =
         Campaign.create_instance ?snapshot_dir:t.t_snapshot_dir ?restore
           ?on_barrier:t.t_on_barrier ~trace ?aux:t.t_aux
-          ~pid_base:(tenant_pid_base i) ~label ~faults ~events ~jobs:t.t_jobs
+          ~pid_base:pid_bases.(i) ~label ~faults ~events ~jobs:t.t_jobs
           ~vm_for:t.t_vm_for ~strategy_for:t.t_strategy_for t.t_config
       in
       let seats =
@@ -430,7 +441,7 @@ let run ?workers ?(trace = Trace.disabled) ?timeseries ?max_slices
       publish ~running:true ();
       Pool.with_pool ~metrics:pool_metrics ~faults
         ~tracer_for:(fun w ->
-          Trace.tracer trace ~pid:(pool_worker_pid w)
+          Trace.tracer trace ~pid:(worker_pid_base + w)
             ~name:(Printf.sprintf "pool-worker-%d" w))
         ~workers
         (fun pool ->
@@ -559,9 +570,10 @@ let run ?workers ?(trace = Trace.disabled) ?timeseries ?max_slices
                  order is always admitted — even a tenant with
                  jobs > workers makes progress (its shards just queue) —
                  so the scheduler is work-conserving by construction.
-                 The batch is computed from tenant state alone (not the
-                 live [Pool.in_flight], which races with completing
-                 workers), keeping the schedule itself deterministic. *)
+                 The batch is computed from tenant state alone, never
+                 from how many pool tasks are still running (which races
+                 with completing workers), keeping the schedule itself
+                 deterministic. *)
               let order = List.stable_sort by_pass runnable in
               let admitted = ref [] in
               let batch_jobs = ref 0 in

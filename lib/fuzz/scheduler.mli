@@ -186,10 +186,12 @@ val run :
     Telemetry: with [trace], pid 0 is the scheduler lane
     ([scheduler.slice] spans, [scheduler.quarantine] spans around
     failure handling, an [execs_total] counter and — when [faults] is
-    armed — a [faults.injected] counter), tenant [i] owns
-    pids [100 * (i + 1) ..] (its campaign-main + shard lanes, labelled
-    with the tenant name), and shared pool worker [w] is pid
-    [100_001 + w]. With [timeseries], one row is appended per completed
+    armed — a [faults.injected] counter), tenant [i] owns the next
+    [1 + jobs] pids after tenant [i - 1]'s (its campaign-main lane, then
+    one per shard, labelled with the tenant name; tenant 0 starts at
+    pid 1), and shared pool worker [w] is the [w]-th pid after the last
+    tenant's range — every lane has its own pid, whatever the jobs.
+    With [timeseries], one row is appended per completed
     slice — time axis = slice ordinal — carrying [tenant] (index),
     [tenant_barrier], [tenant_execs] and [execs_total].
 

@@ -64,7 +64,7 @@ val restore_state :
 (** Restore state captured by {!state_json} into a freshly created shard
     (same id, fresh clock). [version] is the snapshot's format version:
     version 2 stored the executed programs as text, which is parsed and
-    fingerprinted; version 3 stores the fingerprints. Raises
+    fingerprinted; later versions store the fingerprints. Raises
     [Sp_obs.Json.Decode.Error] on malformed input or an id mismatch. *)
 
 type crash_event = {

@@ -6,12 +6,14 @@ module Accum = Sp_coverage.Accum
 (* Version 2 added the always-present "aux" field (strategy-side state:
    the snowplow inference/funnel/prediction caches; [Null] for stateless
    strategies). Version 3 stores each shard's executed set as sorted
-   fingerprints instead of program text. Version-2 documents are still
-   read (their texts are fingerprinted on restore); version-1 documents
-   lack "aux" and are rejected. *)
-let format_version = 3
+   fingerprints instead of program text. Version 4 keys the caches,
+   memos, inboxes and attempts inside "aux" by fingerprint instead of
+   keeping a program text beside each. Versions 2 and 3 are still read
+   (their texts are fingerprinted on restore); version-1 documents lack
+   "aux" and are rejected. *)
+let format_version = 4
 
-let readable_versions = [ 2; format_version ]
+let readable_versions = [ 2; 3; format_version ]
 
 let entry_to_json (e : Corpus.entry) =
   Json.Obj

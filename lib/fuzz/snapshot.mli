@@ -11,12 +11,15 @@
     survives). *)
 
 val format_version : int
-(** The version this build writes: 3. *)
+(** The version this build writes: 4. *)
 
 val readable_versions : int list
-(** The versions this build restores: 2 and 3. Version 2 differs only in
-    storing each shard's executed set as program text, which a restore
-    converts by fingerprinting each parsed program. *)
+(** The versions this build restores: 2, 3 and 4. Version 3 differs from
+    4 only in the layout of [aux], which kept a program text beside each
+    cache, memo, inbox and attempt entry; version 2 also stored each
+    shard's executed set as program text. A restore converts both by
+    fingerprinting each parsed program ([Snowplow.Persist] converts
+    [aux]). *)
 
 val entry_to_json : Corpus.entry -> Sp_obs.Json.t
 

@@ -316,6 +316,13 @@ let fingerprint t =
   fp.fp_lo <- avalanche fp.fp_lo;
   fp
 
+let fingerprint_to_hex fp = Sp_util.Fpset.to_hex fp.fp_hi fp.fp_lo
+
+let fingerprint_of_hex s =
+  Option.map
+    (fun (fp_hi, fp_lo) -> { fp_hi; fp_lo })
+    (Sp_util.Fpset.of_hex s)
+
 let equal a b =
   Array.length a = Array.length b
   && Array.for_all2

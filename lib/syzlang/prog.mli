@@ -65,7 +65,11 @@ val remove_call : t -> int -> t
 (** {1 Misc} *)
 
 val hash : t -> int
-(** Content hash for corpus deduplication. *)
+(** A 63-bit content hash whose value other components observe: it
+    seeds the dataset's per-base RNGs and keys its mutant set, decides
+    [Gen.corpus]'s distinctness and orders [Hybrid.pick_targets]'s
+    targets. No set, cache or memo of a running campaign is keyed by it:
+    they key programs by {!fingerprint}. *)
 
 type fingerprint = private { mutable fp_hi : int; mutable fp_lo : int }
 (** A 126-bit structural fingerprint: two independent 63-bit halves. The
@@ -78,8 +82,16 @@ val fingerprint : t -> fingerprint
     values), so [equal a b] implies equal fingerprints. Distinct programs
     share one with probability about 2{^-126} per pair: among 10{^8}
     programs, the chance of any shared fingerprint is about 6×10{^-23}.
-    Unlike {!hash}, whose value seeds and keys other components, this is
-    what a shard's executed set stores. *)
+    This is the program's identity: the corpus, each shard's executed
+    set, the inference caches, the prediction memos and the funnel's
+    inboxes and attempt ledger are all keyed by it. *)
+
+val fingerprint_to_hex : fingerprint -> string
+(** The fixed-width text form snapshots store ({!Sp_util.Fpset.to_hex}
+    of the two halves). *)
+
+val fingerprint_of_hex : string -> fingerprint option
+(** Inverse of {!fingerprint_to_hex}; [None] on any other text. *)
 
 val equal : t -> t -> bool
 

@@ -20,8 +20,8 @@
     replay byte-identically.
 
     Per-site hit counts are kept under a mutex so sites may be
-    consulted from worker domains (the [Chan] injection points);
-    everything else is immutable after {!create}. *)
+    consulted from any domain; everything else is immutable after
+    {!create}. *)
 
 exception Injected of string
 (** Raised by {!fire} (and by armed injection points) with the site

@@ -24,6 +24,8 @@ let create () =
 
 let length t = t.stored + Bool.to_int t.zero
 
+let copy t = { t with slots = Array.copy t.slots }
+
 let clear t =
   Array.fill t.slots 0 (Array.length t.slots) 0;
   t.stored <- 0;

@@ -16,6 +16,9 @@ val create : unit -> t
 
 val length : t -> int
 
+val copy : t -> t
+(** An independent set with the same members: one flat array copy. *)
+
 val mem : t -> int -> int -> bool
 (** [mem t hi lo] *)
 

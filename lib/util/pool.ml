@@ -16,7 +16,6 @@ type t = {
   tracers : Tracer.t array;  (* one per worker; written only by its owner *)
   mutable rr : int;  (* next queue for round-robin submission *)
   mutable state : lifecycle;
-  mutable in_flight : int;  (* submitted tasks whose handle is unresolved *)
   mutable domains : unit Domain.t array;
   metrics : Metrics.t;
   faults : Faults.t;
@@ -95,7 +94,6 @@ let create ?metrics ?tracer_for ?(faults = Faults.disabled) ~workers () =
       tracers;
       rr = 0;
       state = Live;
-      in_flight = 0;
       domains = [||];
       metrics = (match metrics with Some m -> m | None -> Metrics.create ());
       faults;
@@ -108,12 +106,6 @@ let create ?metrics ?tracer_for ?(faults = Faults.disabled) ~workers () =
 let workers t = Array.length t.queues
 
 let metrics t = t.metrics
-
-let in_flight t =
-  Mutex.lock t.lock;
-  let n = t.in_flight in
-  Mutex.unlock t.lock;
-  n
 
 let submit t f =
   let h = { h_lock = Mutex.create (); h_done = Condition.create (); result = None } in
@@ -142,15 +134,11 @@ let submit t f =
         let bt = Printexc.get_raw_backtrace () in
         Error (e, bt)
     in
-    Mutex.lock t.lock;
-    t.in_flight <- t.in_flight - 1;
-    Mutex.unlock t.lock;
     Mutex.lock h.h_lock;
     h.result <- Some r;
     Condition.broadcast h.h_done;
     Mutex.unlock h.h_lock
   in
-  t.in_flight <- t.in_flight + 1;
   Queue.push task t.queues.(t.rr);
   t.rr <- (t.rr + 1) mod Array.length t.queues;
   Condition.broadcast t.work;
@@ -202,130 +190,3 @@ let shutdown t =
 let with_pool ?metrics ?tracer_for ?faults ~workers f =
   let t = create ?metrics ?tracer_for ?faults ~workers () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-module Chan = struct
-  type 'a t = {
-    lock : Mutex.t;
-    not_full : Condition.t;
-    not_empty : Condition.t;
-    buf : 'a Queue.t;
-    capacity : int;
-    mutable closed : bool;
-    faults : Faults.t;
-    mutable send_seq : int;  (* "chan.send" fault index *)
-    mutable recv_seq : int;  (* "chan.recv" fault index *)
-  }
-
-  exception Closed
-
-  let create ?(faults = Faults.disabled) ~capacity () =
-    if capacity < 1 then invalid_arg "Chan.create: capacity must be >= 1";
-    {
-      lock = Mutex.create ();
-      not_full = Condition.create ();
-      not_empty = Condition.create ();
-      buf = Queue.create ();
-      capacity;
-      closed = false;
-      faults;
-      send_seq = 0;
-      recv_seq = 0;
-    }
-
-  (* Fault ordinals are assigned under the channel lock, so a given
-     (seed, plan, op-interleaving) injects at the same operations. *)
-  let chan_fault t site seq =
-    Faults.enabled t.faults
-    &&
-    let k = seq () in
-    Faults.should_fail t.faults site ~k
-
-  let send t x =
-    Mutex.lock t.lock;
-    if
-      chan_fault t "chan.send" (fun () ->
-          let k = t.send_seq in
-          t.send_seq <- k + 1;
-          k)
-    then begin
-      Mutex.unlock t.lock;
-      raise (Faults.Injected "chan.send")
-    end;
-    while (not t.closed) && Queue.length t.buf >= t.capacity do
-      Condition.wait t.not_full t.lock
-    done;
-    if t.closed then begin
-      Mutex.unlock t.lock;
-      raise Closed
-    end;
-    Queue.push x t.buf;
-    Condition.broadcast t.not_empty;
-    Mutex.unlock t.lock
-
-  let try_send t x =
-    Mutex.lock t.lock;
-    if t.closed then begin
-      Mutex.unlock t.lock;
-      raise Closed
-    end;
-    let ok = Queue.length t.buf < t.capacity in
-    if ok then begin
-      Queue.push x t.buf;
-      Condition.broadcast t.not_empty
-    end;
-    Mutex.unlock t.lock;
-    ok
-
-  let recv t =
-    Mutex.lock t.lock;
-    if
-      chan_fault t "chan.recv" (fun () ->
-          let k = t.recv_seq in
-          t.recv_seq <- k + 1;
-          k)
-    then begin
-      Mutex.unlock t.lock;
-      raise (Faults.Injected "chan.recv")
-    end;
-    while Queue.is_empty t.buf && not t.closed do
-      Condition.wait t.not_empty t.lock
-    done;
-    let r =
-      if Queue.is_empty t.buf then None
-      else begin
-        let x = Queue.pop t.buf in
-        Condition.broadcast t.not_full;
-        Some x
-      end
-    in
-    Mutex.unlock t.lock;
-    r
-
-  let try_recv t =
-    Mutex.lock t.lock;
-    let r =
-      if Queue.is_empty t.buf then None
-      else begin
-        let x = Queue.pop t.buf in
-        Condition.broadcast t.not_full;
-        Some x
-      end
-    in
-    Mutex.unlock t.lock;
-    r
-
-  let close t =
-    Mutex.lock t.lock;
-    if not t.closed then begin
-      t.closed <- true;
-      Condition.broadcast t.not_empty;
-      Condition.broadcast t.not_full
-    end;
-    Mutex.unlock t.lock
-
-  let length t =
-    Mutex.lock t.lock;
-    let n = Queue.length t.buf in
-    Mutex.unlock t.lock;
-    n
-end

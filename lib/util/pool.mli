@@ -39,12 +39,6 @@ val workers : t -> int
 
 val metrics : t -> Metrics.t
 
-val in_flight : t -> int
-(** Submitted tasks whose handle has not yet resolved — the scheduler's
-    admission signal ([workers t - in_flight t] slots are free). Reads
-    under the pool lock; the value is advisory (a task may resolve
-    between the read and any decision taken on it). *)
-
 type 'a handle
 
 val submit : t -> (unit -> 'a) -> 'a handle
@@ -80,39 +74,3 @@ val with_pool :
   (t -> 'a) ->
   'a
 (** [create], run, then [shutdown] (also on exceptions). *)
-
-(** Bounded multi-producer multi-consumer channel on [Mutex]/[Condition];
-    the cross-domain hand-off primitive for streaming pipelines (the pool
-    itself uses per-worker queues, not a channel). *)
-module Chan : sig
-  type 'a t
-
-  exception Closed
-
-  val create : ?faults:Faults.t -> capacity:int -> unit -> 'a t
-  (** Raises [Invalid_argument] when [capacity < 1]. With an enabled
-      [faults] plan, {!send} and {!recv} consult sites ["chan.send"] /
-      ["chan.recv"] at per-channel operation ordinals (assigned under
-      the channel lock) and raise [Faults.Injected] when the plan says
-      so, before touching the buffer. *)
-
-  val send : 'a t -> 'a -> unit
-  (** Blocks while full. Raises {!Closed} if the channel is (or becomes)
-      closed while sending. *)
-
-  val try_send : 'a t -> 'a -> bool
-  (** Non-blocking; [false] when full. Raises {!Closed} when closed. *)
-
-  val recv : 'a t -> 'a option
-  (** Blocks while empty and open; [None] once the channel is closed and
-      drained. *)
-
-  val try_recv : 'a t -> 'a option
-  (** Non-blocking; [None] when currently empty (even if open). *)
-
-  val close : 'a t -> unit
-  (** Wake all blocked senders/receivers. Buffered items remain
-      receivable. Idempotent. *)
-
-  val length : 'a t -> int
-end

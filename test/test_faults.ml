@@ -1,5 +1,5 @@
 (* Tests for the fault-domain layer: the deterministic Sp_util.Faults
-   plan, its injection points in the pool/channel and the campaign
+   plan, its injection points in the pool and the campaign
    executor, the scheduler's quarantine/backoff/retry lifecycle, the
    corrupt-snapshot fallback, the breaker state machine (qcheck model)
    and the funnel's graceful inference degradation. The governing
@@ -113,7 +113,7 @@ let test_faults_of_json () =
   bad {|{"schedule": {"y": [1.5]}}|}
 
 (* ------------------------------------------------------------------ *)
-(* Pool and channel injection                                           *)
+(* Pool injection                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_pool_task_injection () =
@@ -147,26 +147,6 @@ let test_pool_await_full_backtrace () =
             Printexc.raise_with_backtrace (Probe "boom") bt)
       | Error (e, _) ->
         Alcotest.failf "wrong exception: %s" (Printexc.to_string e))
-
-let test_chan_injection () =
-  let faults =
-    Faults.create
-      ~schedule:[ ("chan.send", [ 0 ]); ("chan.recv", [ 1 ]) ]
-      ~seed:0 ()
-  in
-  let ch = Pool.Chan.create ~faults ~capacity:4 () in
-  Alcotest.check_raises "send op 0 injected" (Faults.Injected "chan.send")
-    (fun () -> Pool.Chan.send ch 1);
-  Pool.Chan.send ch 2;
-  Pool.Chan.send ch 3;
-  (match Pool.Chan.recv ch with
-  | Some 2 -> ()
-  | _ -> Alcotest.fail "first recv should deliver 2");
-  Alcotest.check_raises "recv op 1 injected" (Faults.Injected "chan.recv")
-    (fun () -> ignore (Pool.Chan.recv ch));
-  (match Pool.Chan.recv ch with
-  | Some 3 -> ()
-  | _ -> Alcotest.fail "channel unusable after injection")
 
 (* ------------------------------------------------------------------ *)
 (* Campaign fixtures (test_sched idioms)                                *)
@@ -722,9 +702,7 @@ let () =
         [ Alcotest.test_case "pool.task injection" `Quick
             test_pool_task_injection;
           Alcotest.test_case "await_full carries the backtrace" `Quick
-            test_pool_await_full_backtrace;
-          Alcotest.test_case "chan.send/recv injection" `Quick
-            test_chan_injection ] );
+            test_pool_await_full_backtrace ] );
       ( "snapshots",
         [ Alcotest.test_case "latest_valid skips a torn snapshot" `Quick
             test_latest_valid_skips_truncated ] );

@@ -80,25 +80,48 @@ let test_corpus_dedup () =
   Alcotest.(check int) "size" 1 (Corpus.size c);
   Alcotest.(check bool) "mem_prog" true (Corpus.mem_prog c p)
 
-let test_corpus_hash_collision () =
-  (* Forge collisions with a degenerate hash: every program lands on the
-     same slot. Distinct programs must still be admitted (structural
-     confirmation), true duplicates must still be rejected. *)
-  let c = Corpus.create ~hash:(fun _ -> 42) () in
-  let progs = Gen.corpus (Rng.create 77) db ~size:6 in
-  let distinct = ref 0 in
-  List.iter (fun p -> if Corpus.add c (entry_of p) then incr distinct) progs;
-  let unique =
-    List.length
-      (List.sort_uniq
-         (fun a b -> if Prog.equal a b then 0 else compare (Prog.to_string a) (Prog.to_string b))
-         progs)
+(* Two distinct programs that share [Prog.hash]: they differ only in one
+   string, and the two strings collide under the 24-bit string hash that
+   [Prog.hash] mixes ([Value.scalar]). A birthday search over
+   fixed-width names finds such a pair within a few thousand tries. *)
+let hash_twins () =
+  let module Value = Sp_syzlang.Value in
+  let str_hash s = Value.scalar (Value.Vstr s) in
+  let seen = Hashtbl.create 8192 in
+  let rec search i =
+    let s = Printf.sprintf "./file%06d" i in
+    match Hashtbl.find_opt seen (str_hash s) with
+    | Some s' -> (s', s)
+    | None ->
+      Hashtbl.add seen (str_hash s) s;
+      search (i + 1)
   in
-  Alcotest.(check int) "collisions do not drop distinct programs" unique !distinct;
-  Alcotest.(check int) "all admitted entries kept" unique (Corpus.size c);
-  let p = List.hd progs in
-  Alcotest.(check bool) "duplicate still rejected" false (Corpus.add c (entry_of p));
-  Alcotest.(check bool) "mem_prog sees through collisions" true (Corpus.mem_prog c p)
+  let s1, s2 = search 0 in
+  let is_str p (path, _) =
+    match Prog.get p path with Value.Vstr _ -> true | _ -> false
+  in
+  let rec with_string seed =
+    let p = Gen.program (Rng.create seed) db () in
+    match List.find_opt (is_str p) (Prog.arg_nodes p) with
+    | Some (path, _) -> (p, path)
+    | None -> with_string (seed + 1)
+  in
+  let p, path = with_string 0 in
+  (Prog.set p path (Value.Vstr s1), Prog.set p path (Value.Vstr s2))
+
+let test_corpus_hash_twins () =
+  let a, b = hash_twins () in
+  Alcotest.(check bool) "distinct programs" false (Prog.equal a b);
+  Alcotest.(check int) "that share Prog.hash" (Prog.hash a) (Prog.hash b);
+  let c = Corpus.create () in
+  Alcotest.(check bool) "first admitted" true (Corpus.add c (entry_of a));
+  Alcotest.(check bool) "its hash twin admitted too" true (Corpus.add c (entry_of b));
+  Alcotest.(check bool) "a duplicate still rejected" false (Corpus.add c (entry_of b));
+  Alcotest.(check int) "size" 2 (Corpus.size c);
+  Alcotest.(check bool) "both members" true (Corpus.mem_prog c a && Corpus.mem_prog c b);
+  Alcotest.(check bool) "a copy keeps both" true
+    (let c' = Corpus.copy c in
+     Corpus.mem_prog c' a && Corpus.mem_prog c' b)
 
 let test_corpus_choose () =
   let c = Corpus.create () in
@@ -399,7 +422,7 @@ let () =
       ( "corpus",
         [
           Alcotest.test_case "dedup" `Quick test_corpus_dedup;
-          Alcotest.test_case "forged hash collision" `Quick test_corpus_hash_collision;
+          Alcotest.test_case "hash twins both admitted" `Quick test_corpus_hash_twins;
           Alcotest.test_case "choose" `Quick test_corpus_choose;
           Alcotest.test_case "choose_directed" `Quick test_corpus_choose_directed;
         ] );

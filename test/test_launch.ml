@@ -101,6 +101,25 @@ let test_hostile_rosters () =
   Alcotest.(check bool) "the largest spawnable roster entry is accepted" true
     (Result.is_ok (roster {|[{"name":"a","jobs":127}]|}))
 
+(* A name is a directory under --snapshot-root and a label prefix: "a"
+   and "a/." would share one directory, "../x" would write outside the
+   root, and "a#1" would read as retry 1 of tenant "a". *)
+let test_unsafe_names_rejected () =
+  List.iter
+    (fun name ->
+      check Alcotest.string name
+        (Printf.sprintf
+           "tenant entry 1: name: %S is not one path component \
+            ([A-Za-z0-9_-] then [A-Za-z0-9_.-], at most 64 bytes)"
+           name)
+        (error_of (Printf.sprintf {|[{"name":"ok"},{"name":%S}]|} name)))
+    [ "."; ".."; "a/."; "../x"; "a/b"; "a#1"; ".hidden"; String.make 65 'a' ];
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) name true
+        (Result.is_ok (roster (Printf.sprintf {|[{"name":%S}]|} name))))
+    [ "a"; "A-1"; "_x.y"; "tenant.2"; String.make 64 'z' ]
+
 let test_check_spec () =
   let err s =
     match Launch.check_spec s with
@@ -213,6 +232,8 @@ let () =
             test_errors_collected;
           Alcotest.test_case "hostile launches rejected" `Quick
             test_hostile_rosters;
+          Alcotest.test_case "unsafe names rejected" `Quick
+            test_unsafe_names_rejected;
           Alcotest.test_case "spec and worker checks" `Quick test_check_spec;
           QCheck_alcotest.to_alcotest qcheck_mutated_rosters ] );
       ( "campaign",

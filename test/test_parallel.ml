@@ -1,5 +1,5 @@
-(* Tests for the parallel execution layer: the Sp_util.Pool worker pool
-   and its bounded channel, the deterministic sharded campaign executor,
+(* Tests for the parallel execution layer: the Sp_util.Pool worker pool,
+   the deterministic sharded campaign executor,
    and the barrier-batched inference funnel. The determinism properties
    here are the contract the whole design hangs on: identical (seed,
    jobs) must give identical reports, regardless of domain scheduling. *)
@@ -85,8 +85,6 @@ let test_pool_concurrent_shutdown () =
         | Ok v -> check Alcotest.int "drained task" i v
         | Error e -> Alcotest.failf "task %d died: %s" i (Printexc.to_string e))
       handles;
-    check Alcotest.int "nothing in flight after shutdown" 0
-      (Pool.in_flight pool);
     Alcotest.check_raises "submit refused after racing shutdowns"
       (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
         ignore (Pool.submit pool (fun () -> ())))
@@ -132,56 +130,6 @@ let test_pool_many_rounds () =
               (match r with Ok v -> v | Error e -> raise e))
           results
       done)
-
-(* ------------------------------------------------------------------ *)
-(* Chan                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_chan_fifo () =
-  let c = Pool.Chan.create ~capacity:8 () in
-  List.iter (Pool.Chan.send c) [ 1; 2; 3 ];
-  check Alcotest.int "length" 3 (Pool.Chan.length c);
-  check (Alcotest.option Alcotest.int) "fifo 1" (Some 1) (Pool.Chan.recv c);
-  check (Alcotest.option Alcotest.int) "fifo 2" (Some 2) (Pool.Chan.try_recv c);
-  Pool.Chan.close c;
-  check (Alcotest.option Alcotest.int) "drains after close" (Some 3)
-    (Pool.Chan.recv c);
-  check (Alcotest.option Alcotest.int) "closed and empty" None (Pool.Chan.recv c);
-  Alcotest.check_raises "send to closed raises" Pool.Chan.Closed (fun () ->
-      Pool.Chan.send c 9)
-
-let test_chan_capacity () =
-  let c = Pool.Chan.create ~capacity:2 () in
-  Alcotest.(check bool) "accepts under capacity" true (Pool.Chan.try_send c 1);
-  Alcotest.(check bool) "accepts at capacity" true (Pool.Chan.try_send c 2);
-  Alcotest.(check bool) "refuses over capacity" false (Pool.Chan.try_send c 3);
-  check (Alcotest.option Alcotest.int) "pop" (Some 1) (Pool.Chan.try_recv c);
-  Alcotest.(check bool) "accepts again" true (Pool.Chan.try_send c 3)
-
-let test_chan_cross_domain () =
-  (* A producer domain streams into a small channel while this domain
-     consumes: blocking send/recv must hand all items over, in order. *)
-  let c = Pool.Chan.create ~capacity:4 () in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to 100 do
-          Pool.Chan.send c i
-        done;
-        Pool.Chan.close c)
-  in
-  let received = ref [] in
-  let rec drain () =
-    match Pool.Chan.recv c with
-    | Some v ->
-      received := v :: !received;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Domain.join producer;
-  check (Alcotest.list Alcotest.int) "all items, in order"
-    (List.init 100 (fun i -> i + 1))
-    (List.rev !received)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel campaign                                                    *)
@@ -390,7 +338,7 @@ let test_funnel_tenant_lanes () =
   let inbox1 = ep10.Snowplow.Inference.ep_poll ~now:200.0 in
   check Alcotest.int "tenant 1's inbox" 1 (List.length inbox1);
   Alcotest.(check bool) "tenant 1 got its own program back" true
-    (List.map fst inbox1 = [ prog 2 ]);
+    (List.map fst inbox1 = [ Prog.fingerprint (prog 2) ]);
   (* Per-tag service accounting sums to the service-wide counters. *)
   let r0, s0, _, _ = Snowplow.Inference.tenant_stats service ~tag:0 in
   let r1, s1, _, _ = Snowplow.Inference.tenant_stats service ~tag:1 in
@@ -431,12 +379,6 @@ let () =
           Alcotest.test_case "shutdown races submitters" `Quick
             test_pool_shutdown_races_submitters;
           Alcotest.test_case "many barrier rounds" `Quick test_pool_many_rounds;
-        ] );
-      ( "chan",
-        [
-          Alcotest.test_case "fifo and close" `Quick test_chan_fifo;
-          Alcotest.test_case "capacity bound" `Quick test_chan_capacity;
-          Alcotest.test_case "cross-domain streaming" `Quick test_chan_cross_domain;
         ] );
       ( "campaign",
         [

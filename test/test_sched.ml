@@ -241,6 +241,47 @@ let test_tenant_status_golden () =
 
 (* The serve --summary-json document: run totals plus one object per
    tenant, straight from the report. *)
+(* Every trace lane has its own pid. A 100-shard tenant used to reach
+   the next tenant's pid range, so [Trace.tracer] (which memoizes by pid)
+   handed the next tenant's main lane the ring of [alpha-shard-99], one
+   ring written by a worker domain and the scheduling domain. *)
+let test_trace_lanes_distinct () =
+  let trace = Sp_obs.Trace.create ~enabled:true () in
+  ignore
+    (match
+       Scheduler.run ~trace ~workers:1 ~max_slices:2
+         [ tenant ~name:"alpha" ~seed:7 ~jobs:100 ();
+           tenant ~name:"beta" ~seed:23 ~jobs:1 () ]
+     with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "Scheduler.run failed: %s" e);
+  let lanes =
+    match Sp_obs.Trace.export trace with
+    | Json.Obj fields -> (
+      match List.assoc_opt "traceEvents" fields with
+      | Some (Json.Arr evs) ->
+        List.filter_map
+          (fun ev ->
+            match (Json.member "name" ev, Json.member "args" ev) with
+            | Some (Json.Str "process_name"), Some args -> (
+              match Json.member "name" args with
+              | Some (Json.Str lane) -> Some lane
+              | _ -> None)
+            | _ -> None)
+          evs
+      | _ -> Alcotest.fail "trace has no traceEvents")
+    | _ -> Alcotest.fail "trace is not an object"
+  in
+  let expected =
+    [ "scheduler"; "alpha-campaign-main"; "beta-campaign-main"; "beta-shard-0";
+      "pool-worker-0" ]
+    @ List.init 100 (Printf.sprintf "alpha-shard-%d")
+  in
+  check
+    Alcotest.(list string)
+    "every lane exactly once" (List.sort compare expected)
+    (List.sort compare lanes)
+
 let test_summary_json () =
   let r =
     run_ok ~workers:2
@@ -494,5 +535,7 @@ let () =
           Alcotest.test_case "armed vs unarmed byte identity" `Quick
             test_armed_vs_unarmed_identity;
           Alcotest.test_case "--summary-json document" `Quick
-            test_summary_json ] );
+            test_summary_json;
+          Alcotest.test_case "trace lanes distinct" `Quick
+            test_trace_lanes_distinct ] );
       ("model", [ qtest qcheck_scheduler_model ]) ]

@@ -422,6 +422,192 @@ let test_snowplow_resume_matches_uninterrupted () =
           oracle (report_bytes r))
     [ 1; 2 ]
 
+(* Inside [aux], the caches, the memos and the inboxes key every entry
+   by fingerprint: the only strings there are 32-digit hex fingerprints,
+   never program text. (The pending queue and the outboxes keep their
+   programs, which run again.) *)
+let test_aux_holds_no_program_text () =
+  with_dir "snap-aux-text" (fun dir ->
+      (match snowplow_run ~snapshot_dir:dir () with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "snowplow run failed: %s" e);
+      let aux =
+        match Snapshot.read (Snapshot.path ~dir ~barrier:2) with
+        | Ok doc -> Json.Decode.field "aux" doc
+        | Error e -> Alcotest.failf "snapshot unreadable: %s" e
+      in
+      let rec strings = function
+        | Json.Str s -> [ s ]
+        | Json.Arr xs -> List.concat_map strings xs
+        | Json.Obj kvs -> List.concat_map (fun (_, v) -> strings v) kvs
+        | _ -> []
+      in
+      let at path = List.fold_left (fun j k -> Json.Decode.field k j) aux path in
+      List.iter
+        (fun path ->
+          let name = String.concat "." path in
+          let ss = strings (at path) in
+          Alcotest.(check bool) (name ^ " is not empty") true (ss <> []);
+          List.iter
+            (fun s ->
+              if Prog.fingerprint_of_hex s = None then
+                Alcotest.failf "%s holds a non-fingerprint string %S" name s)
+            ss)
+        [ [ "inference"; "cache" ]; [ "inference"; "by_prog" ];
+          [ "predictions" ]; [ "funnel"; "inboxes" ] ])
+
+(* Versions 2 and 3 kept a program text beside every cache, memo, inbox
+   and attempt entry. Rewriting a live [aux] into that layout and
+   restoring it as version 3 must give back the same state, byte for
+   byte: each entry re-keyed by its program's fingerprint, in the same
+   order, with the same stamps and answers. *)
+let test_aux_v3_layout_converts () =
+  let progs = List.init 6 (fun s -> Gen.program (Rng.create (s + 1)) db ()) in
+  let texts = Hashtbl.create 8 in
+  List.iter
+    (fun p ->
+      Hashtbl.replace texts
+        (Prog.fingerprint_to_hex (Prog.fingerprint p))
+        (Json.Str (Prog.to_string p)))
+    progs;
+  let text = function
+    | Json.Str hex -> Hashtbl.find texts hex
+    | _ -> Alcotest.fail "expected a fingerprint"
+  in
+  (* The 7th send (the last program's) stalls and is reclaimed; its
+     retry, sent after both caches expired, stalls too and stays in the
+     attempt ledger. *)
+  let faults =
+    Sp_util.Faults.create ~schedule:[ ("inference.timeout@0", [ 7; 8 ]) ] ~seed:0 ()
+  in
+  let wiring () =
+    let service = inference () in
+    let funnel =
+      Snowplow.Funnel.create_multi ~degrade:Snowplow.Funnel.default_degrade ~faults
+        ~tenant_shards:[| 1 |] service
+    in
+    let memo = Snowplow.Hybrid.make_predictions () in
+    ( funnel,
+      memo,
+      Snowplow.Persist.aux ~parse ~inference:service ~funnel ~predictions:[| memo |] )
+  in
+  let funnel, memo, aux = wiring () in
+  let ep = Snowplow.Funnel.endpoint_for funnel ~tenant:0 ~shard:0 in
+  let deliver ~now batch =
+    List.iteri
+      (fun i p -> ignore (ep.Snowplow.Inference.ep_request ~now p ~targets:[ i; 7 ]))
+      batch;
+    ignore (Snowplow.Funnel.flush_tenant funnel ~tenant:0 ~now);
+    ignore (Snowplow.Funnel.flush_tenant funnel ~tenant:0 ~now:(now +. 5.0))
+  in
+  (* The first three answers reach the memo through a strategy's poll;
+     the last three wait in the inbox. *)
+  deliver ~now:0.0 (List.filteri (fun i _ -> i < 3) progs);
+  let strategy =
+    Snowplow.Hybrid.strategy_with ~predictions:memo ~endpoint:ep kernel
+  in
+  let base = List.hd progs in
+  let r = Kernel.execute kernel base in
+  ignore
+    (strategy.Strategy.propose (Rng.create 3) ~now:5.0
+       ~covered:(Bitset.create (Kernel.num_blocks kernel))
+       (Corpus.create ())
+       { Corpus.prog = base; blocks = r.Kernel.covered;
+         edges = r.Kernel.covered_edges; added_at = 0.0 });
+  deliver ~now:10.0 (List.filteri (fun i _ -> i >= 3) progs);
+  ignore (Snowplow.Funnel.flush_tenant funnel ~tenant:0 ~now:50.0);
+  ignore (Snowplow.Funnel.flush_tenant funnel ~tenant:0 ~now:2000.0);
+  let v4 = aux.Campaign.aux_json () in
+  let field path j = List.fold_left (fun j k -> Json.Decode.field k j) j path in
+  let arr f = function
+    | Json.Arr xs -> Json.Arr (List.map f xs)
+    | _ -> Alcotest.fail "expected an array"
+  in
+  let lru value = arr (fun e ->
+      Json.Obj
+        [ ("key", Json.Str "0000000000000000");
+          ("written_at", field [ "written_at" ] e);
+          ("value", value (field [ "key" ] e) (field [ "value" ] e)) ])
+  in
+  let cached fp targets answer =
+    Json.Obj [ ("src_prog", text fp); ("src_targets", targets); ("answer", answer) ]
+  in
+  let v3 =
+    Json.Obj
+      [ ( "inference",
+          match field [ "inference" ] v4 with
+          | Json.Obj kvs ->
+            Json.Obj
+              (List.map
+                 (fun (k, v) ->
+                   match k with
+                   | "cache" ->
+                     ( k,
+                       lru (fun key answer ->
+                           cached (field [ "fp" ] key) (field [ "targets" ] key) answer)
+                         v )
+                   | "by_prog" ->
+                     (k, lru (fun key answer -> cached key (Json.Arr []) answer) v)
+                   | _ -> (k, v))
+                 kvs)
+          | _ -> Alcotest.fail "inference state is not an object" );
+        ( "funnel",
+          match field [ "funnel" ] v4 with
+          | Json.Obj kvs ->
+            Json.Obj
+              (List.map
+                 (fun (k, v) ->
+                   let with_prog rest e =
+                     Json.Obj
+                       (("prog", text (field [ "fp" ] e))
+                       :: List.map (fun k -> (k, field [ k ] e)) rest)
+                   in
+                   match k with
+                   | "inboxes" -> (k, arr (arr (with_prog [ "paths" ])) v)
+                   | "lanes" ->
+                     ( k,
+                       arr
+                         (function
+                           | Json.Obj lane ->
+                             Json.Obj
+                               (List.map
+                                  (fun (k, v) ->
+                                    if k = "attempts" then
+                                      (k, arr (with_prog [ "attempt" ]) v)
+                                    else (k, v))
+                                  lane)
+                           | _ -> Alcotest.fail "lane is not an object")
+                         v )
+                   | _ -> (k, v))
+                 kvs)
+          | _ -> Alcotest.fail "funnel state is not an object" );
+        ( "predictions",
+          arr
+            (lru (fun key paths -> Json.Obj [ ("prog", text key); ("paths", paths) ]))
+            (field [ "predictions" ] v4) ) ]
+  in
+  let sizes =
+    List.map
+      (fun path ->
+        match field path v4 with
+        | Json.Arr [ Json.Arr xs ] | Json.Arr xs -> List.length xs
+        | _ -> 0)
+      [ [ "inference"; "cache" ]; [ "inference"; "by_prog" ]; [ "predictions" ];
+        [ "funnel"; "inboxes" ]; [ "funnel"; "lanes" ] ]
+  in
+  Alcotest.(check bool) "every converted part is populated" true
+    (List.for_all (fun n -> n > 0) sizes);
+  (match field [ "funnel"; "lanes" ] v4 with
+  | Json.Arr [ lane ] ->
+    Alcotest.(check bool) "an attempt is in flight" true
+      (field [ "attempts" ] lane <> Json.Arr [])
+  | _ -> Alcotest.fail "expected one lane");
+  let _, _, aux' = wiring () in
+  aux'.Campaign.aux_restore ~version:3 v3;
+  check Alcotest.string "the version-3 layout restores to the same state"
+    (Json.to_string v4)
+    (Json.to_string (aux'.Campaign.aux_json ()))
+
 (* ------------------------------------------------------------------ *)
 (* Durable writes                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -466,11 +652,12 @@ let test_crash_before_rename () =
 (* Format fixtures                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* test/fixtures/v2-* are version-2 snapshots written by the commit before
-   version 3 (test/fixtures/README.md has the generator). This build must
-   resume each to the report an uninterrupted run produces, and write
-   version-3 snapshots from there on that match the uninterrupted run's
-   byte for byte. The configs below are the generator's. *)
+(* test/fixtures/vN-* are version-N snapshots written by the last commit
+   that wrote version N (test/fixtures/README.md has the generator and
+   the commits). This build must resume each to the report an
+   uninterrupted run produces, and write current-version snapshots from
+   there on that match the uninterrupted run's byte for byte. The configs
+   below are the generator's. *)
 
 let fixture dir =
   match Snapshot.latest_valid ~dir:(Filename.concat "fixtures" dir) () with
@@ -484,9 +671,11 @@ let fixture_syz_cfg = fixture_grid { cfg with seed_corpus = seeds; seed = 7 }
 
 let fixture_snowplow_cfg = fixture_grid aux_cfg
 
-let check_version2 doc =
-  check Alcotest.int "fixture is a version-2 document" 2
-    (Json.Decode.int_field "version" doc)
+let versioned_fixture v dir =
+  let doc = fixture (Printf.sprintf "v%d-%s" v dir) in
+  check Alcotest.int (Printf.sprintf "fixture is a version-%d document" v) v
+    (Json.Decode.int_field "version" doc);
+  doc
 
 let snapshot_bytes dir barrier = Io.read_file (Snapshot.path ~dir ~barrier)
 
@@ -507,7 +696,7 @@ let check_fixture_resume
   in
   with_dir "fixture-resumed" (fun dir ->
       match run ~snapshot_dir:dir ~restore:doc () with
-      | Error e -> Alcotest.failf "resume from the v2 fixture failed: %s" e
+      | Error e -> Alcotest.failf "resume from the fixture failed: %s" e
       | Ok r ->
         check Alcotest.string "resumed report byte-identical" oracle (report_bytes r);
         List.iter
@@ -515,7 +704,7 @@ let check_fixture_resume
             let written = snapshot_bytes dir b in
             (match Json.of_string written with
             | Ok j ->
-              check Alcotest.int "written as version 3" Snapshot.format_version
+              check Alcotest.int "written in the current version" Snapshot.format_version
                 (Json.Decode.int_field "version" j)
             | Error e -> Alcotest.failf "snapshot %d unreadable: %s" b e);
             check Alcotest.string
@@ -523,21 +712,19 @@ let check_fixture_resume
               (snapshot_bytes "fixture-fresh" b) written)
           [ 2; 3 ])
 
-let test_fixture_syzkaller () =
-  let doc = fixture "v2-syzkaller-jobs2" in
-  check_version2 doc;
+let test_fixture_syzkaller v () =
+  let doc = versioned_fixture v "syzkaller-jobs2" in
   (match
      Json.Decode.run (fun () ->
          Campaign.validate_snapshot ~snapshot:doc ~jobs:2 fixture_syz_cfg)
    with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "v2 fixture rejected: %s" e);
+  | Error e -> Alcotest.failf "v%d fixture rejected: %s" v e);
   check_fixture_resume doc ~run:(fun ~snapshot_dir ?restore () ->
       run_campaign ~snapshot_dir ?restore ~jobs:2 fixture_syz_cfg)
 
-let test_fixture_snowplow () =
-  let doc = fixture "v2-snowplow-jobs1" in
-  check_version2 doc;
+let test_fixture_snowplow v () =
+  let doc = versioned_fixture v "snowplow-jobs1" in
   Alcotest.(check bool) "fixture carries aux state" true
     (match Json.member "aux" doc with Some (Json.Obj _) -> true | _ -> false);
   check_fixture_resume doc ~run:(fun ~snapshot_dir ?restore () ->
@@ -553,7 +740,7 @@ let test_fixture_snowplow () =
 (* The scheduler tree: two syzkaller tenants killed after two slices,
    resumed under a fresh scheduler; each tenant's report must equal its
    uninterrupted solo run. *)
-let test_fixture_scheduler_tree () =
+let test_fixture_scheduler_tree v () =
   let module Scheduler = Sp_fuzz.Scheduler in
   let tenant_cfg seed =
     fixture_grid
@@ -568,14 +755,13 @@ let test_fixture_scheduler_tree () =
       Scheduler.run ~workers:2
         (List.map
            (fun (name, seed, jobs) ->
-             let doc = fixture ("v2-sched/" ^ name) in
-             check_version2 doc;
+             let doc = versioned_fixture v ("sched/" ^ name) in
              Scheduler.tenant ~restore:doc ~name ~jobs ~vm_for:(vm_for seed)
                ~strategy_for (tenant_cfg seed))
            tenants)
     with
     | Ok r -> r
-    | Error e -> Alcotest.failf "scheduler resume from the v2 tree failed: %s" e
+    | Error e -> Alcotest.failf "scheduler resume from the v%d tree failed: %s" v e
   in
   List.iter
     (fun (name, seed, jobs) ->
@@ -597,21 +783,21 @@ let test_fixture_scheduler_tree () =
    which names the version — before any VM or strategy is built. *)
 let test_unknown_version_rejected () =
   let doc = fixture "v2-syzkaller-jobs2" in
-  let v4 =
+  let v5 =
     match doc with
     | Json.Obj fields ->
       Json.Obj
-        (List.map (fun (k, v) -> if k = "version" then (k, Json.Num 4.0) else (k, v)) fields)
+        (List.map (fun (k, v) -> if k = "version" then (k, Json.Num 5.0) else (k, v)) fields)
     | _ -> Alcotest.fail "fixture is not an object"
   in
-  let expected = "snapshot format version 4, this build reads 2 and 3" in
+  let expected = "snapshot format version 5, this build reads 2, 3, 4" in
   (match
-     Campaign.validate_snapshot ~snapshot:v4 ~jobs:2 fixture_syz_cfg
+     Campaign.validate_snapshot ~snapshot:v5 ~jobs:2 fixture_syz_cfg
    with
-  | () -> Alcotest.fail "version 4 accepted"
+  | () -> Alcotest.fail "version 5 accepted"
   | exception Json.Decode.Error msg -> check Alcotest.string "typed error" expected msg);
-  match run_campaign ~restore:v4 ~jobs:2 fixture_syz_cfg with
-  | Ok _ -> Alcotest.fail "campaign resumed from a version-4 document"
+  match run_campaign ~restore:v5 ~jobs:2 fixture_syz_cfg with
+  | Ok _ -> Alcotest.fail "campaign resumed from a version-5 document"
   | Error msg -> check Alcotest.string "create_instance refuses it" expected msg
 
 (* Every committed JSON document stays within the parser's nesting bound. *)
@@ -625,7 +811,7 @@ let test_committed_documents_parse () =
            else [])
   in
   let docs = files "../examples" @ files "fixtures" in
-  Alcotest.(check bool) "found the examples and fixtures" true (List.length docs >= 7);
+  Alcotest.(check bool) "found the examples and fixtures" true (List.length docs >= 11);
   List.iter
     (fun p ->
       match Json.of_string (Io.read_file p) with
@@ -678,15 +864,25 @@ let () =
           Alcotest.test_case "latest snapshot in a dir" `Quick
             test_snapshot_latest;
           Alcotest.test_case "snowplow resume == uninterrupted" `Slow
-            test_snowplow_resume_matches_uninterrupted ] );
+            test_snowplow_resume_matches_uninterrupted;
+          Alcotest.test_case "caches, memos and inboxes hold no program text"
+            `Quick test_aux_holds_no_program_text;
+          Alcotest.test_case "version-3 layout converts" `Quick
+            test_aux_v3_layout_converts ] );
       ( "fixtures",
         [ Alcotest.test_case "v2 syzkaller jobs 2 resumes" `Quick
-            test_fixture_syzkaller;
+            (test_fixture_syzkaller 2);
           Alcotest.test_case "v2 snowplow jobs 1 with aux resumes" `Quick
-            test_fixture_snowplow;
+            (test_fixture_snowplow 2);
           Alcotest.test_case "v2 scheduler tree resumes" `Quick
-            test_fixture_scheduler_tree;
-          Alcotest.test_case "version 4 rejected" `Quick
+            (test_fixture_scheduler_tree 2);
+          Alcotest.test_case "version 5 rejected" `Quick
             test_unknown_version_rejected;
           Alcotest.test_case "committed documents parse" `Quick
-            test_committed_documents_parse ] ) ]
+            test_committed_documents_parse;
+          Alcotest.test_case "v3 syzkaller jobs 2 resumes" `Quick
+            (test_fixture_syzkaller 3);
+          Alcotest.test_case "v3 snowplow jobs 1 with aux resumes" `Quick
+            (test_fixture_snowplow 3);
+          Alcotest.test_case "v3 scheduler tree resumes" `Quick
+            (test_fixture_scheduler_tree 3) ] ) ]

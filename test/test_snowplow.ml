@@ -525,6 +525,62 @@ let test_inference_cache_bounded () =
     (Snowplow.Inference.cache_size inference
     <= Snowplow.Inference.cache_capacity inference)
 
+(* Two distinct programs that share [Prog.hash]: they differ only in one
+   string, and the two strings collide under the 24-bit string hash that
+   [Prog.hash] mixes ([Value.scalar]). A birthday search over
+   fixed-width names finds such a pair within a few thousand tries. *)
+let hash_twins () =
+  let module Value = Sp_syzlang.Value in
+  let str_hash s = Value.scalar (Value.Vstr s) in
+  let seen = Hashtbl.create 8192 in
+  let rec search i =
+    let s = Printf.sprintf "./file%06d" i in
+    match Hashtbl.find_opt seen (str_hash s) with
+    | Some s' -> (s', s)
+    | None ->
+      Hashtbl.add seen (str_hash s) s;
+      search (i + 1)
+  in
+  let s1, s2 = search 0 in
+  let is_str p (path, _) =
+    match Prog.get p path with Value.Vstr _ -> true | _ -> false
+  in
+  let rec with_string seed =
+    let p = Gen.program (Rng.create seed) db () in
+    match List.find_opt (is_str p) (Prog.arg_nodes p) with
+    | Some (path, _) -> (p, path)
+    | None -> with_string (seed + 1)
+  in
+  let p, path = with_string 0 in
+  let a = Prog.set p path (Value.Vstr s1) and b = Prog.set p path (Value.Vstr s2) in
+  Alcotest.(check bool) "distinct programs" false (Prog.equal a b);
+  Alcotest.(check int) "that share Prog.hash" (Prog.hash a) (Prog.hash b);
+  (a, b)
+
+let test_inference_hash_twins () =
+  (* Both programs' answers live in the caches at once: the second is
+     computed, not refused as a collision, and evicts nothing. *)
+  let a, b = hash_twins () in
+  let inference = Snowplow.Inference.create ~kernel ~block_embs model in
+  let targets =
+    List.filteri (fun i _ -> i < 4)
+      (List.map fst (QG.frontier_blocks kernel (Kernel.execute kernel a)))
+  in
+  let ask ~now p =
+    Alcotest.(check bool) "request admitted" true
+      (Snowplow.Inference.request inference ~now p ~targets)
+  in
+  ask ~now:0.0 a;
+  ask ~now:0.0 b;
+  Alcotest.(check int) "both computed" 0 (Snowplow.Inference.cache_hits inference);
+  Alcotest.(check int) "both answers cached in both caches" 4
+    (Snowplow.Inference.cache_size inference);
+  ignore (Snowplow.Inference.poll inference ~now:10.0 ());
+  ask ~now:10.0 a;
+  ask ~now:10.0 b;
+  Alcotest.(check int) "each answered from the cache" 2
+    (Snowplow.Inference.cache_hits inference)
+
 (* ------------------------------------------------------------------ *)
 (* Strategies                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -585,6 +641,44 @@ let test_hybrid_with_insertion_model () =
       (strategy.Sp_fuzz.Strategy.propose rng ~now:(float_of_int i) ~covered corpus e)
   done;
   Alcotest.(check bool) "learned insertions proposed" true !saw_learned
+
+let test_hybrid_memo_hash_twins () =
+  (* Predictions delivered for both programs stay in the memo together,
+     and each guides mutation of its own base. *)
+  let a, b = hash_twins () in
+  let paths p = List.filteri (fun i _ -> i < 2) (List.map fst (Prog.mutable_nodes p)) in
+  let delivered = ref [ (Prog.fingerprint a, paths a); (Prog.fingerprint b, paths b) ] in
+  let endpoint =
+    { Snowplow.Inference.ep_request = (fun ~now:_ _ ~targets:_ -> false);
+      ep_poll =
+        (fun ~now:_ ->
+          let d = !delivered in
+          delivered := [];
+          d) }
+  in
+  let predictions = Snowplow.Hybrid.make_predictions () in
+  let strategy =
+    Snowplow.Hybrid.strategy_with ~mutations_per_base:64 ~predictions ~endpoint kernel
+  in
+  let corpus = Sp_fuzz.Corpus.create () in
+  let covered = Bitset.create (Kernel.num_blocks kernel) in
+  let rng = Rng.create 8 in
+  let guided prog =
+    let r = Kernel.execute kernel prog in
+    let entry =
+      { Sp_fuzz.Corpus.prog; blocks = r.Kernel.covered;
+        edges = r.Kernel.covered_edges; added_at = 0.0 }
+    in
+    List.exists
+      (fun (p : Sp_fuzz.Strategy.proposal) -> p.Sp_fuzz.Strategy.origin = "pmm-arg")
+      (strategy.Sp_fuzz.Strategy.propose rng ~now:0.0 ~covered corpus entry)
+  in
+  Alcotest.(check bool) "the first program's prediction guides it" true (guided a);
+  Alcotest.(check bool) "its hash twin's prediction guides it" true (guided b);
+  match Snowplow.Hybrid.predictions_json predictions with
+  | Sp_obs.Json.Arr entries ->
+    Alcotest.(check int) "the memo holds both" 2 (List.length entries)
+  | _ -> Alcotest.fail "memo dump is not an array"
 
 let test_directed_targets_move_towards () =
   let target = Kernel.handler_exit kernel 3 in
@@ -736,6 +830,8 @@ let () =
             test_inference_cache_hits_not_served;
           Alcotest.test_case "caches bounded over long campaign" `Quick
             test_inference_cache_bounded;
+          Alcotest.test_case "hash twins cached apart" `Quick
+            test_inference_hash_twins;
         ] );
       ( "persistence",
         [ Alcotest.test_case "save/load" `Quick test_pmm_save_load ] );
@@ -750,5 +846,7 @@ let () =
           Alcotest.test_case "hybrid with insertion model" `Quick
             test_hybrid_with_insertion_model;
           Alcotest.test_case "directed target picking" `Quick test_directed_targets_move_towards;
+          Alcotest.test_case "hash twins memoized apart" `Quick
+            test_hybrid_memo_hash_twins;
         ] );
     ]
