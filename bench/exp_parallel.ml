@@ -147,8 +147,7 @@ let run () =
      else "DIVERGED (nondeterminism bug!)");
   (* Pool observability from the last run's merged registry. *)
   let m = again.Campaign.metrics in
-  Exp_common.log "pool: %d tasks, %d steals" (Metrics.counter m "pool.tasks")
-    (Metrics.counter m "pool.steals");
+  Exp_common.log "pool: %d tasks" (Metrics.counter m "pool.tasks");
   (match Metrics.summary m "pool.barrier_wait_s" with
   | Some s ->
     Exp_common.log "pool: barrier wait mean %.1f ms over %d barriers"

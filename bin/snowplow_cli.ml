@@ -586,11 +586,12 @@ let serve_cmd =
 (* ------------------------------------------------------------------ *)
 
 let train jobs trace_file =
+  Result.iter_error (fail "train" "%s") (Launch.check_workers jobs);
   let trace = trace_for trace_file in
   let main_tracer = Trace.tracer trace ~pid:0 ~name:"train-main" in
   (* One tracer per stripe (pids 2001+s): a stripe is executed by exactly
      one pool task per batch, so each tracer stays single-writer no
-     matter which domain steals the task. *)
+     matter which worker takes the task. *)
   let tracer_for s =
     Trace.tracer trace ~pid:(2001 + s) ~name:(Printf.sprintf "train-stripe-%d" s)
   in
@@ -616,9 +617,11 @@ let train_cmd =
       & info [ "jobs" ] ~docv:"N"
           ~doc:
             "Training stripe parallelism: each mini-batch is sharded into \
-             $(docv) contiguous stripes evaluated on a domain pool, with a \
-             deterministic stripe-order gradient reduction. $(docv)=1 is \
-             the sequential path (byte-identical to earlier releases).")
+             $(docv) contiguous stripes evaluated on $(docv) domains (this \
+             one and a pool of $(docv)-1), with a deterministic \
+             stripe-order gradient reduction. $(docv)=1 is the one-stripe \
+             case, equal to accumulating every example's gradient in \
+             order.")
   in
   Cmd.v
     (Cmd.info "train" ~doc:"Train PMM and report Table-1 selector metrics.")

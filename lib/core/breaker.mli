@@ -57,6 +57,11 @@ val peek : t -> now:float -> state
 val state_name : state -> string
 (** ["closed"] / ["open"] / ["half-open"]. *)
 
+val state_code : state -> int
+(** [0] closed, [1] open, [2] half-open: the one numeric encoding, used
+    by {!state_json}, the [breaker.state] trace counter and the
+    [snowplow_breaker_state] gauge. *)
+
 val record_error : t -> now:float -> unit
 (** A request failed or timed out. *)
 

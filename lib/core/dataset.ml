@@ -1,5 +1,6 @@
 module Rng = Sp_util.Rng
 module Bitset = Sp_util.Bitset
+module Fpset = Sp_util.Fpset
 module Kernel = Sp_kernel.Kernel
 module Prog = Sp_syzlang.Prog
 module Engine = Sp_mutation.Engine
@@ -23,7 +24,6 @@ type config = {
   noise : float;  (* executor nondeterminism (ablation of §3.1's controls) *)
   exact_targets : bool;  (* ablation: §3.1 design option (a) instead of (c) *)
   drop_edges : Query_graph.edge_kind list;  (* representation ablations *)
-  stratify : bool;  (* stratify the per-base split by label rate *)
   seed : int;
 }
 
@@ -36,7 +36,6 @@ let default_config =
     noise = 0.0;
     exact_targets = false;
     drop_edges = [];
-    stratify = false;
     seed = 5;
   }
 
@@ -50,8 +49,12 @@ let execute config rng kernel prog =
 
 (* Successful raw samples for one base: (localized paths, new blocks). *)
 let raw_samples config rng kernel engine base (base_exec : Kernel.result) =
-  let seen = Hashtbl.create 64 in
-  Hashtbl.add seen (Prog.hash base) ();
+  let seen = Fpset.create () in
+  let unseen prog =
+    let fp = Prog.fingerprint prog in
+    Fpset.add seen fp.Prog.fp_hi fp.Prog.fp_lo
+  in
+  ignore (unseen base);
   let localizer = Engine.syzkaller_arg_localizer ~max_args:config.max_args_per_mutation () in
   let samples = ref [] in
   for _j = 1 to config.mutations_per_base do
@@ -59,9 +62,7 @@ let raw_samples config rng kernel engine base (base_exec : Kernel.result) =
     | [] -> ()
     | paths ->
       let mutant = Engine.mutate_args_at engine rng base paths in
-      let h = Prog.hash mutant in
-      if not (Hashtbl.mem seen h) then begin
-        Hashtbl.add seen h ();
+      if unseen mutant then begin
         let r = execute config rng kernel mutant in
         if r.Kernel.crash = None then begin
           let fresh = ref [] in
@@ -194,87 +195,23 @@ let apply_popularity_cap config examples =
       end)
     examples
 
-(* Pure stratified partition: [rates.(i)] is base [i]'s label rate in
-   (shuffled) base order. Bases are grouped into terciles of the rate
-   distribution and each tercile is split 80/10/10 in order, with the
-   same floor formulas as the unstratified split — so each stratum's
-   train/valid/eval proportions match the whole corpus's. Still a
-   per-base partition: every base lands in exactly one part. *)
-let stratified_assignment rates =
-  let n = Array.length rates in
-  let sorted = Array.copy rates in
-  Array.sort compare sorted;
-  let q1 = if n = 0 then 0.0 else sorted.(n / 3)
-  and q2 = if n = 0 then 0.0 else sorted.(2 * n / 3) in
-  let stratum r = if r < q1 then 0 else if r < q2 then 1 else 2 in
-  let assign = Array.make n `Eval in
-  for s = 0 to 2 do
-    let members = ref [] in
-    Array.iteri (fun i r -> if stratum r = s then members := i :: !members) rates;
-    let members = Array.of_list (List.rev !members) in
-    let ns = Array.length members in
-    let ns_train = ns * 8 / 10 and ns_valid = ns / 10 in
-    Array.iteri
-      (fun k i ->
-        assign.(i) <-
-          (if k < ns_train then `Train
-           else if k < ns_train + ns_valid then `Valid
-           else `Eval))
-      members
-  done;
-  assign
-
-(* Fraction of MUTATE labels over all of a base's argument nodes, across
-   its examples — the class balance the stratified split equalizes. *)
-let label_rate examples =
-  let pos = ref 0.0 and total = ref 0.0 in
-  List.iter
-    (fun ex ->
-      Array.iter
-        (fun l ->
-          total := !total +. 1.0;
-          if l > 0.5 then pos := !pos +. 1.0)
-        ex.labels)
-    examples;
-  if !total = 0.0 then 0.0 else !pos /. !total
-
 let collect ?(config = default_config) kernel ~bases =
   let rng = Rng.create config.seed in
   let bases = Array.of_list bases in
   Rng.shuffle rng bases;
   let n = Array.length bases in
-  if config.stratify then begin
-    (* Collect every base's examples once ([collect_for_base] seeds its
-       RNG per base, so this is independent of collection order), rate
-       them, and partition by label-rate terciles. The popularity cap
-       still runs per part, over that part's examples in base order. *)
-    let per_base =
-      Array.map (fun base -> collect_for_base ~config kernel base) bases
-    in
-    let assign = stratified_assignment (Array.map label_rate per_base) in
-    let part tag =
-      let acc = ref [] in
-      Array.iteri
-        (fun i exs -> if assign.(i) = tag then acc := List.rev_append exs !acc)
-        per_base;
-      List.rev !acc |> apply_popularity_cap config |> Array.of_list
-    in
-    { train = part `Train; valid = part `Valid; eval = part `Eval }
-  end
-  else begin
-    let n_train = n * 8 / 10 and n_valid = n / 10 in
-    let part lo hi =
-      Array.to_list (Array.sub bases lo (hi - lo))
-      |> List.concat_map (fun base -> collect_for_base ~config kernel base)
-      |> apply_popularity_cap config
-      |> Array.of_list
-    in
-    {
-      train = part 0 n_train;
-      valid = part n_train (n_train + n_valid);
-      eval = part (n_train + n_valid) n;
-    }
-  end
+  let n_train = n * 8 / 10 and n_valid = n / 10 in
+  let part lo hi =
+    Array.to_list (Array.sub bases lo (hi - lo))
+    |> List.concat_map (fun base -> collect_for_base ~config kernel base)
+    |> apply_popularity_cap config
+    |> Array.of_list
+  in
+  {
+    train = part 0 n_train;
+    valid = part n_train (n_train + n_valid);
+    eval = part (n_train + n_valid) n;
+  }
 
 let successful_mutation_rate ?(config = default_config) kernel ~bases =
   let engine = Engine.create (Kernel.spec_db kernel) in

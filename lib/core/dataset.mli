@@ -33,11 +33,6 @@ type config = {
           instead of the noisy frontier mixture of option (c) *)
   drop_edges : Query_graph.edge_kind list;
       (** ablation: remove edge families from the query graphs *)
-  stratify : bool;
-      (** stratify the per-base 80/10/10 split by each base's MUTATE-label
-          rate (terciles), so class balance is comparable across parts;
-          [false] (the default) keeps the historical contiguous split
-          byte-for-byte *)
   seed : int;
 }
 
@@ -57,15 +52,7 @@ val collect_for_base :
 
 val collect :
   ?config:config -> Sp_kernel.Kernel.t -> bases:Sp_syzlang.Prog.t list -> split
-(** Full pipeline over a seed corpus, with the 80/10/10 per-base split
-    (label-rate stratified when [config.stratify]). *)
-
-val stratified_assignment : float array -> [ `Train | `Valid | `Eval ] array
-(** The pure partition behind the stratified split: input is the per-base
-    label rate in (shuffled) base order; bases are grouped into terciles
-    of the rate distribution and each tercile is split 80/10/10 in order
-    with the same floor formulas ([k*8/10], [k/10]) as the unstratified
-    split. Exposed for property tests. *)
+(** Full pipeline over a seed corpus, with the 80/10/10 per-base split. *)
 
 val successful_mutation_rate :
   ?config:config -> Sp_kernel.Kernel.t -> bases:Sp_syzlang.Prog.t list -> float

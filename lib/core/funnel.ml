@@ -46,7 +46,7 @@ type lane = {
 }
 
 type lane_stats = {
-  ls_state : string;
+  ls_state : Breaker.state;
   ls_trips : int;
   ls_errors : int;
   ls_shed : int;
@@ -177,11 +177,6 @@ let attempts_put ln fp n =
   ignore (attempts_take ln fp);
   ln.ln_attempts <- ln.ln_attempts @ [ (fp, n) ]
 
-let breaker_code = function
-  | Breaker.Closed -> 0.0
-  | Breaker.Open -> 1.0
-  | Breaker.Half_open -> 2.0
-
 (* Emit a [breaker.transition] event when the lane's state changed since
    the last one — recovery back to closed is Info, leaving closed is
    Warn. *)
@@ -234,7 +229,8 @@ let flush_degraded t ~tenant ~now dg fresh =
       ];
   note_breaker_state t ~tenant ln ~now;
   let bstate = Breaker.state ln.ln_breaker ~now in
-  Tracer.counter t.tracer "breaker.state" (breaker_code bstate);
+  Tracer.counter t.tracer "breaker.state"
+    (float_of_int (Breaker.state_code bstate));
   let send prog targets attempt =
     let k = ln.ln_reqs + 1 in
     ln.ln_reqs <- k;
@@ -376,7 +372,7 @@ let lane_stats t ~tenant ~now =
     let ln = t.lanes.(tenant) in
     Some
       {
-        ls_state = Breaker.state_name (Breaker.peek ln.ln_breaker ~now);
+        ls_state = Breaker.peek ln.ln_breaker ~now;
         ls_trips = Breaker.trips ln.ln_breaker;
         ls_errors = ln.ln_errors;
         ls_shed = ln.ln_shed;

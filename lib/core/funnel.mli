@@ -61,7 +61,7 @@ val default_degrade : degrade
 (** 30 s timeout, 2 retries, {!Breaker.default_config}. *)
 
 type lane_stats = {
-  ls_state : string;  (** breaker state name *)
+  ls_state : Breaker.state;
   ls_trips : int;
   ls_errors : int;  (** timeouts + injected request failures *)
   ls_shed : int;  (** fresh requests refused while not Closed *)

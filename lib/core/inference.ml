@@ -141,7 +141,7 @@ let request t ?(tag = 0) ?(extra_latency = 0.0) ?(record_targets = false) ~now
          timeout, so only [cancel_overdue] will ever reclaim the slot. *)
       let ready_at = admitted +. t.latency +. extra_latency in
       let prediction =
-        Metrics.time t.metrics "inference.predict_cpu_s" (fun () ->
+        Metrics.time_wall t.metrics "inference.predict_wall_s" (fun () ->
             predict_now t prog ~targets)
       in
       Metrics.incr t.metrics "inference.computed";

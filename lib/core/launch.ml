@@ -285,12 +285,8 @@ let gauges service specs =
         | None -> []
         | Some ls ->
           [ (E.Gauge, "snowplow_breaker_state",
-             "breaker state (0 closed, 1 half-open, 2 open, -1 unknown)",
-             match ls.Funnel.ls_state with
-             | "closed" -> 0.0
-             | "half-open" -> 1.0
-             | "open" -> 2.0
-             | _ -> -1.0);
+             "breaker state (0 closed, 1 open, 2 half-open)",
+             n (Breaker.state_code ls.Funnel.ls_state));
             (E.Counter, "snowplow_breaker_trips", "breaker trips", n ls.Funnel.ls_trips);
             (E.Counter, "snowplow_breaker_errors", "lane errors (timeouts + failures)",
              n ls.Funnel.ls_errors);

@@ -46,7 +46,7 @@ let calibrate_threshold model ~block_embs examples =
   Pmm.set_threshold model !best;
   !best
 
-(* Shared history/throughput bookkeeping for both execution paths. *)
+(* History/throughput bookkeeping on the main domain. *)
 type progress_state = {
   mutable step : int;
   mutable running_loss : float;
@@ -60,9 +60,9 @@ let fresh_progress () =
     last_step_at = Unix.gettimeofday () }
 
 (* One eligible example's loss has been observed: advance the step
-   counter and emit a history record at [log_every] boundaries — the
-   same cadence whether losses arrive one by one (sequential) or
-   replayed in batch order after a parallel barrier. *)
+   counter and emit a history record at [log_every] boundaries. Losses
+   are replayed in batch order after each barrier, so the cadence does
+   not depend on [jobs]. *)
 let observe_loss st ~config ~tracer loss_value =
   st.step <- st.step + 1;
   st.running_loss <- st.running_loss +. loss_value;
@@ -82,93 +82,63 @@ let note_step_rate st ~tracer samples =
     Tracer.counter tracer "trainer.samples_per_s" (float_of_int samples /. dt);
   st.last_step_at <- now
 
-(* ------------------------------------------------------------------ *)
-(* Sequential path (jobs = 1) — byte-identical to the historical
-   trainer: same RNG draws, same IEEE operations in the same order. The
-   only change is that tape temporaries and gradient buffers now draw
-   from a workspace ticked at optimizer-step boundaries (gradients
-   accumulate across a mini-batch, so a generation spans exactly one
-   batch). *)
-(* ------------------------------------------------------------------ *)
+(* Runs the stripes and returns their results in stripe order: with
+   [helpers], stripe 0 on the calling domain (which would otherwise wait
+   at the barrier) and the others as tasks on the pool; without, every
+   stripe on the calling domain. The first failure re-raises; stripes
+   still queued are drained by the pool's shutdown. *)
+let run_stripes helpers stripes =
+  match (helpers, stripes) with
+  | Some pool, first :: rest ->
+    let handles = List.map (Pool.submit pool) rest in
+    let r = first () in
+    r
+    :: List.map
+         (fun h -> match Pool.await h with Ok a -> a | Error e -> raise e)
+         handles
+  | _ -> List.map (fun stripe -> stripe ()) stripes
 
-let train_sequential ~config ~tracer model ~block_embs ~train:train_exs =
-  let rng = Rng.create config.seed in
-  let optim = Optim.adam ~lr:config.lr (Pmm.params model) in
-  let ws = Workspace.create () in
-  let st = fresh_progress () in
-  let in_batch = ref 0 in
-  Workspace.with_active ws (fun () ->
-      for _epoch = 1 to config.epochs do
-        Tracer.span tracer "trainer.epoch" (fun () ->
-            let order = Array.init (Array.length train_exs) Fun.id in
-            Rng.shuffle rng order;
-            Array.iter
-              (fun i ->
-                let ex = train_exs.(i) in
-                if Array.length ex.Dataset.labels > 0 then begin
-                  let loss =
-                    Pmm.loss model ~block_embs ex.Dataset.prepared
-                      ~labels:ex.Dataset.labels
-                  in
-                  (* Gradients accumulate across the mini-batch; one Adam
-                     step per [config.batch] examples. *)
-                  Ad.backward loss;
-                  incr in_batch;
-                  let stepped = !in_batch >= config.batch in
-                  if stepped then begin
-                    Optim.step optim;
-                    Optim.zero_grad optim;
-                    in_batch := 0
-                  end;
-                  observe_loss st ~config ~tracer
-                    (Tensor.get (Ad.value loss) 0 0);
-                  (* The loss scalar has been read and the gradients
-                     consumed: everything this generation handed out is
-                     dead, so the batch's buffers can be recycled. *)
-                  if stepped then begin
-                    Workspace.tick ws;
-                    note_step_rate st ~tracer config.batch
-                  end
-                end)
-              order)
-      done;
-      if !in_batch > 0 then begin
-        Optim.step optim;
-        Optim.zero_grad optim;
-        Workspace.tick ws
-      end);
-  List.rev st.history
+(* Minibatch striping: each mini-batch's eligible examples are split into
+   [jobs] contiguous stripes, each stripe builds tapes and accumulates
+   gradients into a [Pmm.clone_shared] view (shared parameter values,
+   private gradient slots, private workspace), stripe 0 on the calling
+   domain and the others on a pool of [jobs - 1] workers, and the calling
+   domain reduces the per-stripe gradients in stripe order before one
+   Adam step.
 
-(* ------------------------------------------------------------------ *)
-(* Striped path (jobs > 1) — minibatch striping: each mini-batch's
-   eligible examples are split into [jobs] contiguous stripes, each
-   stripe builds tapes and accumulates gradients on its own pool domain
-   into a [Pmm.clone_shared] view (shared parameter values, private
-   gradient slots, private workspace), and the main domain reduces the
-   per-stripe gradients in stripe order before one Adam step.
-
-   Deterministic for a fixed (seed, jobs): stripes are reduced in
-   submission order and each stripe accumulates its examples in batch
-   order. The floating-point association differs from jobs = 1 (stripe
-   subtotals are summed, not one long chain), so results are
-   reproducible per (seed, jobs) rather than across job counts. *)
-(* ------------------------------------------------------------------ *)
-
-let train_parallel ~config ~tracer ~tracer_for model ~block_embs ~train:train_exs =
+   Deterministic for a fixed (seed, jobs): stripes are reduced in stripe
+   order and each stripe accumulates its examples in batch order. With
+   [jobs = 1] the one stripe accumulates the whole batch in batch order
+   and [Ad.accum] copies that sum into the model's cleared gradient slot,
+   so the result equals accumulating into the model directly; it runs on
+   the calling domain and starts no pool. (A fresh pool domain allocates
+   the stripe's tape buffers from its own malloc arena, so training runs
+   one after another could strand one run's buffers, about 450 MB for the
+   benchmark's PMM, beside the next run's.) Across job counts the
+   floating-point association differs (stripe subtotals are summed, not
+   one long chain). *)
+let train ?(config = default_config) ?(tracer = Tracer.null)
+    ?(tracer_for = fun _ -> Tracer.null) model ~block_embs ~train:train_exs
+    ~valid =
   let jobs = config.jobs in
+  if jobs < 1 then invalid_arg "Trainer.train: jobs must be >= 1";
   let rng = Rng.create config.seed in
   let optim = Optim.adam ~lr:config.lr (Pmm.params model) in
   let primary_params = Pmm.params model in
   let clones = Array.init jobs (fun _ -> Pmm.clone_shared model) in
   let clone_params = Array.map Pmm.params clones in
-  (* Per-stripe tracers, not per-worker: work stealing may run stripe [s]
-     on any domain, but one stripe is one task, executed exactly once per
-     barrier interval — so each stripe tracer has a single writer at any
-     instant (hand-offs are ordered by the pool's barrier). *)
+  (* Per-stripe tracers, not per-worker: a stripe runs exactly once per
+     barrier interval, so each stripe tracer has a single writer at any
+     instant (hand-offs are ordered by the barrier). *)
   let stripe_tracers = Array.init jobs tracer_for in
   let st = fresh_progress () in
   let pending = ref [] and n_pending = ref 0 in
-  Pool.with_pool ~workers:jobs (fun pool ->
+  let helpers =
+    if jobs > 1 then Some (Pool.create ~workers:(jobs - 1) ()) else None
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Pool.shutdown helpers)
+    (fun () ->
       let flush () =
         if !n_pending > 0 then begin
           let batch = Array.of_list (List.rev !pending) in
@@ -193,10 +163,7 @@ let train_parallel ~config ~tracer ~tracer_for model ~block_embs ~train:train_ex
                               Ad.backward loss;
                               Tensor.get (Ad.value loss) 0 0))))
           in
-          let results = Pool.run_all pool tasks in
-          let losses =
-            List.map (function Ok a -> a | Error e -> raise e) results
-          in
+          let losses = run_stripes helpers tasks in
           (* Reduce in stripe order, then zero the clone's slots so the
              next generation starts clean; the clones' workspaces are
              only recycled after their gradients have been consumed. *)
@@ -214,8 +181,6 @@ let train_parallel ~config ~tracer ~tracer_for model ~block_embs ~train:train_ex
           Optim.zero_grad optim;
           Array.iter (fun c -> Workspace.tick (Pmm.workspace c)) clones;
           note_step_rate st ~tracer n;
-          (* Replay the per-example losses in batch order so history and
-             logging cadence match the sequential path's. *)
           List.iter
             (fun stripe_losses ->
               Array.iter
@@ -238,20 +203,11 @@ let train_parallel ~config ~tracer ~tracer_for model ~block_embs ~train:train_ex
                 end)
               order)
       done;
-      (* Leftover partial batch after all epochs, like the sequential
-         trainer's trailing step. *)
+      (* The leftover partial batch after all epochs takes one more
+         step. *)
       flush ());
-  List.rev st.history
-
-let train ?(config = default_config) ?(tracer = Tracer.null)
-    ?(tracer_for = fun _ -> Tracer.null) model ~block_embs ~train ~valid =
-  let history =
-    if config.jobs <= 1 then
-      train_sequential ~config ~tracer model ~block_embs ~train
-    else train_parallel ~config ~tracer ~tracer_for model ~block_embs ~train
-  in
   if Array.length valid > 0 then ignore (calibrate_threshold model ~block_embs valid);
-  history
+  List.rev st.history
 
 let random_baseline ~k ~seed examples =
   let rng = Rng.create seed in

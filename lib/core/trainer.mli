@@ -5,13 +5,16 @@
     paper's F1-guided hyper-parameter protocol. The random baseline Rand.K
     of Table 1 is provided for comparison.
 
-    With [jobs > 1] the trainer runs minibatch striping (DESIGN.md §13):
-    each mini-batch's examples are split into [jobs] contiguous stripes,
-    each stripe builds its tapes and accumulates gradients on its own
-    {!Sp_util.Pool} domain against a {!Pmm.clone_shared} view of the
-    model, and the per-stripe gradients are reduced in stripe order
-    before a single Adam step — deterministic for a fixed (seed, jobs).
-    [jobs = 1] is byte-identical to the historical sequential trainer. *)
+    Training runs minibatch striping (DESIGN.md §13): each mini-batch's
+    examples are split into [jobs] contiguous stripes, each stripe builds
+    its tapes and accumulates gradients against a {!Pmm.clone_shared}
+    view of the model — stripe 0 on the calling domain, the others on a
+    {!Sp_util.Pool} of [jobs - 1] workers — and the per-stripe gradients
+    are reduced in stripe order before a single Adam step, deterministic
+    for a fixed (seed, jobs). [jobs = 1] is the one-stripe case: it
+    starts no pool, and its parameters, threshold and loss history equal
+    those of accumulating every example's gradient into the model
+    directly. *)
 
 type config = {
   epochs : int;
@@ -19,8 +22,7 @@ type config = {
   batch : int;  (** examples per gradient step (gradient accumulation) *)
   seed : int;
   log_every : int;  (** steps between history records; 0 disables *)
-  jobs : int;
-      (** stripe/domain count; 1 (the default) trains sequentially *)
+  jobs : int;  (** stripes, >= 1 (default 1); [jobs - 1] pool workers *)
 }
 
 val default_config : config
@@ -40,11 +42,11 @@ val train :
     maximize mean F1 on [valid]. Returns the loss history. [tracer]
     (default disabled) records one [trainer.epoch] span per epoch, a
     [trainer.loss] counter per history record and a
-    [trainer.samples_per_s] counter per optimizer step. With [jobs > 1],
-    [tracer_for s] supplies stripe [s]'s tracer (called once per stripe
-    up front; each records one [trainer.stripe] span per mini-batch) —
-    use distinct tracers per stripe, they are written from pool
-    domains. *)
+    [trainer.samples_per_s] counter per optimizer step. [tracer_for s]
+    supplies stripe [s]'s tracer (called once per stripe up front; each
+    records one [trainer.stripe] span per mini-batch) — use distinct
+    tracers per stripe, stripes other than 0 write theirs from pool
+    domains. Raises [Invalid_argument] when [jobs < 1]. *)
 
 val evaluate :
   Pmm.t ->

@@ -59,12 +59,6 @@ let add_stamped t ~blocks ~edges =
 let merge_into ~dst src =
   ignore (add dst ~blocks:src.block_cover ~edges:src.edge_cover)
 
-let would_add t ~blocks ~edges =
-  {
-    new_blocks = Bitset.diff_cardinal blocks t.block_cover;
-    new_edges = Bitset.diff_cardinal edges t.edge_cover;
-  }
-
 module Json = Sp_obs.Json
 
 let bitset_to_json b =

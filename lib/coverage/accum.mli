@@ -25,9 +25,6 @@ val add_stamped :
 val merge_into : dst:t -> t -> unit
 (** Union another accumulator's coverage into [dst] (same capacities). *)
 
-val would_add : t -> blocks:Sp_util.Bitset.t -> edges:Sp_util.Bitset.t -> delta
-(** Novelty of an execution without merging it. *)
-
 val blocks : t -> Sp_util.Bitset.t
 (** The {e live} accumulated block set, shared for the duration of one
     campaign-loop call — read-only by contract. Mutating it desynchronizes

@@ -706,7 +706,7 @@ let finish_instance inst =
 
 let run inst =
   let pool_metrics = Metrics.create () in
-  Pool.with_pool ~faults:inst.i_faults ~metrics:pool_metrics
+  Pool.with_pool ~metrics:pool_metrics
     ~tracer_for:(fun i ->
       Trace.tracer inst.i_trace ~pid:(1001 + i)
         ~name:(Printf.sprintf "pool-worker-%d" i))

@@ -183,11 +183,10 @@ val finish_instance : instance -> report
 val run : instance -> report
 (** Step the instance to completion over a private pool of one worker
     per job, then {!finish_instance}. Pool worker [i] traces into the
-    instance's [trace] as pid [1001 + i] ([pool.task] spans, [pool.steal]
-    instants), and the instance's [faults] plan also arms the pool's
-    [pool.task] site. The report's registry carries the [campaign.*]
-    loop counters and histograms, the [vm.*] metrics (both merged from
-    the shards in shard order) and the pool's [pool.*] metrics. *)
+    instance's [trace] as pid [1001 + i] ([pool.task] spans). The
+    report's registry carries the [campaign.*] loop counters and
+    histograms, the [vm.*] metrics (both merged from the shards in shard
+    order) and the pool's [pool.*] metrics. *)
 
 val instance_stopped : instance -> bool
 

@@ -439,7 +439,7 @@ let run ?workers ?(trace = Trace.disabled) ?timeseries ?max_slices
           ("workers", Json.Num (float_of_int workers))
         ];
       publish ~running:true ();
-      Pool.with_pool ~metrics:pool_metrics ~faults
+      Pool.with_pool ~metrics:pool_metrics
         ~tracer_for:(fun w ->
           Trace.tracer trace ~pid:(worker_pid_base + w)
             ~name:(Printf.sprintf "pool-worker-%d" w))
@@ -675,7 +675,7 @@ let run ?workers ?(trace = Trace.disabled) ?timeseries ?max_slices
           done);
       Metrics.merge_into ~dst:metrics pool_metrics;
       (* Final payload after the pool merge, so the last scrape also
-         carries the pool.tasks / pool.steals counters. *)
+         carries the pool.tasks counter. *)
       publish ~running:false ();
       Events.log events ~kind:"scheduler.finish"
         [ ("slices", Json.Num (float_of_int !total_slices));

@@ -177,9 +177,9 @@ val run :
     scheduled. Raises [Invalid_argument] on an empty tenant list, a
     duplicate name, [workers < 1] or [max_tenant_retries < 0].
 
-    [faults] (default {!Sp_util.Faults.disabled}) arms the shared pool's
-    and every tenant instance's injection sites (see
-    {!Campaign.create_instance}); [max_tenant_retries] (default 3) is
+    [faults] (default {!Sp_util.Faults.disabled}) arms every tenant
+    instance's injection sites (see {!Campaign.create_instance});
+    [max_tenant_retries] (default 3) is
     the number of retry generations a failing tenant gets before
     quarantine.
 

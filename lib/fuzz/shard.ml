@@ -248,7 +248,7 @@ let run_epoch_inner t ?max_execs ~corpus ~accum ~target ~until () =
       | None -> Corpus.choose t.rng ctx.local
     in
     let proposals =
-      (* Wall clock: this runs on a worker domain (see Metrics.time). *)
+      (* Wall clock: this runs on a worker domain (see Metrics.time_wall). *)
       Metrics.time_wall t.metrics "campaign.propose_wall_s" (fun () ->
           t.strategy.Strategy.propose t.rng ~now:(Clock.now t.clock)
             ~covered:(Accum.blocks ctx.acc) ctx.local entry)

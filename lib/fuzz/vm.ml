@@ -75,19 +75,9 @@ let charge t clock ~crashed ~num_calls =
   record_observation t "vm.exec_virtual_s" cost;
   Clock.advance clock cost
 
-(* Wall clock, not [Metrics.time]: one VM per shard means this timer runs
-   on a worker domain, where [Sys.time] would charge every other domain's
-   concurrent work to this shard's histogram. *)
-let run t clock prog =
-  let r =
-    match t.metrics with
-    | Some m -> Metrics.time_wall m "vm.exec_wall_s" (fun () -> execute t prog)
-    | None -> execute t prog
-  in
-  charge t clock ~crashed:(r.Kernel.crash <> None)
-    ~num_calls:(Array.length prog);
-  r
-
+(* Wall clock: one VM per shard means this timer runs on a worker domain,
+   where process CPU time would charge every other domain's concurrent
+   work to this shard's histogram. *)
 let run_raw t clock prog =
   (match t.metrics with
   | Some m -> Metrics.time_wall m "vm.exec_wall_s" (fun () -> execute_raw t prog)

@@ -48,16 +48,12 @@ val set_tracer : t -> Sp_obs.Tracer.t -> unit
     themselves are far too hot to trace individually). Defaults to the
     disabled tracer. *)
 
-val run : t -> Clock.t -> Sp_syzlang.Prog.t -> Sp_kernel.Kernel.result
-(** Execute and advance the clock by the execution cost (plus the restart
-    penalty on crash). *)
-
 val run_raw : t -> Clock.t -> Sp_syzlang.Prog.t -> unit
-(** [run], minus the materialized result: executes into the VM's own
-    {!scratch} and charges the clock identically. The caller reads the
-    outcome through [Kernel.scratch_*] views on [scratch t], which stay
-    valid until this VM's next execution. The campaign ingest path uses
-    this to keep the steady-state loop allocation-free. *)
+(** Execute into the VM's own {!scratch} and advance the clock by the
+    execution cost (plus the restart penalty on crash). The caller reads
+    the outcome through [Kernel.scratch_*] views on [scratch t], which
+    stay valid until this VM's next execution. The campaign ingest path
+    uses this to keep the steady-state loop allocation-free. *)
 
 val run_free : t -> Sp_syzlang.Prog.t -> Sp_kernel.Kernel.result
 (** Execute without charging time (used by offline analyses). *)

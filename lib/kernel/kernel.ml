@@ -101,18 +101,3 @@ let execute ?noise ?scratch t prog =
   in
   Exec.execute_raw ?noise t.code st prog;
   Exec.result_of_scratch st
-
-let per_call_coverage t prog =
-  let r = execute t prog in
-  let covs =
-    Array.init (List.length r.traces) (fun _ -> Bitset.create (num_blocks t))
-  in
-  List.iter
-    (fun tr -> List.iter (Bitset.add covs.(tr.call_idx)) tr.visited)
-    r.traces;
-  covs
-
-let block_coverage_of_call t prog call_idx =
-  let covs = per_call_coverage t prog in
-  if call_idx >= 0 && call_idx < Array.length covs then covs.(call_idx)
-  else Bitset.create (num_blocks t)

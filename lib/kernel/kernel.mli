@@ -125,14 +125,3 @@ val scratch_calls : scratch -> int
 (** Calls actually executed; a crash cuts the program short. *)
 
 val scratch_result : scratch -> result
-
-(** {1 Coverage queries} *)
-
-val per_call_coverage : t -> Sp_syzlang.Prog.t -> Sp_util.Bitset.t array
-(** Per-call block coverage of one program, derived from a single
-    execution — index [i] covers call [i]. The array length is the number
-    of calls actually executed (a crash cuts the program short). *)
-
-val block_coverage_of_call : t -> Sp_syzlang.Prog.t -> int -> Sp_util.Bitset.t
-(** Coverage of one call of the program. Prefer {!per_call_coverage} when
-    querying more than one call: this re-executes per query. *)

@@ -59,16 +59,14 @@ let program rng db ?(min_calls = 3) ?(max_calls = 7) () =
   wire_resources rng db calls
 
 let corpus rng db ~size =
-  let seen = Hashtbl.create size in
+  let seen = Sp_util.Fpset.create () in
   let rec collect acc n guard =
     if n >= size || guard > size * 50 then List.rev acc
     else
       let p = program rng db () in
-      let h = Prog.hash p in
-      if Hashtbl.mem seen h then collect acc n (guard + 1)
-      else begin
-        Hashtbl.add seen h ();
+      let fp = Prog.fingerprint p in
+      if Sp_util.Fpset.add seen fp.Prog.fp_hi fp.Prog.fp_lo then
         collect (p :: acc) (n + 1) (guard + 1)
-      end
+      else collect acc n (guard + 1)
   in
   collect [] 0 0

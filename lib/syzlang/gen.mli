@@ -24,4 +24,4 @@ val wire_resources : Sp_util.Rng.t -> Spec.db -> Prog.t -> Prog.t
 
 val corpus :
   Sp_util.Rng.t -> Spec.db -> size:int -> Prog.t list
-(** [size] distinct (by {!Prog.hash}) random programs. *)
+(** [size] distinct (by {!Prog.fingerprint}) random programs. *)

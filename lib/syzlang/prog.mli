@@ -65,11 +65,11 @@ val remove_call : t -> int -> t
 (** {1 Misc} *)
 
 val hash : t -> int
-(** A 63-bit content hash whose value other components observe: it
-    seeds the dataset's per-base RNGs and keys its mutant set, decides
-    [Gen.corpus]'s distinctness and orders [Hybrid.pick_targets]'s
-    targets. No set, cache or memo of a running campaign is keyed by it:
-    they key programs by {!fingerprint}. *)
+(** A 63-bit content hash used only as a seed: it seeds the dataset's
+    per-base RNGs and orders [Hybrid.pick_targets]'s targets. It is not
+    an identity (programs that differ in one string can share it), so no
+    set, cache or memo is keyed by it: they key programs by
+    {!fingerprint}. *)
 
 type fingerprint = private { mutable fp_hi : int; mutable fp_lo : int }
 (** A 126-bit structural fingerprint: two independent 63-bit halves. The
@@ -84,7 +84,8 @@ val fingerprint : t -> fingerprint
     programs, the chance of any shared fingerprint is about 6×10{^-23}.
     This is the program's identity: the corpus, each shard's executed
     set, the inference caches, the prediction memos and the funnel's
-    inboxes and attempt ledger are all keyed by it. *)
+    inboxes and attempt ledger are all keyed by it, and [Gen.corpus] and
+    the dataset's mutant set decide distinctness by it. *)
 
 val fingerprint_to_hex : fingerprint -> string
 (** The fixed-width text form snapshots store ({!Sp_util.Fpset.to_hex}

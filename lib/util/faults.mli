@@ -2,9 +2,9 @@
 
     A fault plan decides, per (site, occurrence), whether an armed
     injection point fires. Sites are short stable strings
-    (["pool.task"], ["chan.send"], ["alpha/shard.epoch"], ...); the
-    occurrence index [k] is a deterministic per-site ordinal maintained
-    by the caller (submission count, barrier number, ...). A decision is
+    (["alpha/shard.epoch"], ["funnel.flush@0"], ...); the occurrence
+    index [k] is a deterministic per-site ordinal maintained by the
+    caller (barrier number, send count, ...). A decision is
     a pure function of the plan and (site, k):
 
     - if the plan's explicit {e schedule} lists [k] for the site, the
@@ -51,7 +51,7 @@ val of_json : Sp_obs.Json.t -> (t, string) result
 (** Load a plan from its JSON form:
     {[ { "seed": 42,
          "default_rate": 0.0,
-         "rates": { "pool.task": 0.05 },
+         "rates": { "inference.request@0": 0.05 },
          "schedule": { "beta/shard.epoch": [0, 2] } } ]}
     Every field except ["seed"] is optional. *)
 

@@ -84,10 +84,6 @@ let observe t name v =
   add_moments h ~count:1 ~sum:v ~minv:v ~maxv:v;
   offer h v
 
-let time t name f =
-  let t0 = Sys.time () in
-  Fun.protect ~finally:(fun () -> observe t name (Sys.time () -. t0)) f
-
 let time_wall t name f =
   let t0 = Unix.gettimeofday () in
   Fun.protect ~finally:(fun () -> observe t name (Unix.gettimeofday () -. t0)) f

@@ -2,7 +2,7 @@
 
     The fuzz loop, the VM cost model, and the inference service all record
     into a registry: named monotonic counters ("how many"), and histograms
-    of observations ("how long / how much"), used for both wall-clock CPU
+    of observations ("how long / how much"), used for both wall-clock
     timings and virtual-clock durations. Histograms store constant space
     per metric (streaming moments + a bounded deterministic reservoir for
     percentiles), so recording is safe on paths hit millions of times per
@@ -27,24 +27,16 @@ val counters : t -> (string * int) list
 val observe : t -> string -> float -> unit
 (** Record one observation (a duration, a batch size, ...). *)
 
-val time : t -> string -> (unit -> 'a) -> 'a
-(** Run the thunk and [observe] its CPU time ([Sys.time]) in seconds under
-    the given name, whether it returns or raises.
-
-    [Sys.time] is {e process-wide} CPU time: under a multi-domain run
-    every domain reads the same accumulating clock, so a per-shard timer
-    recorded with [time] is inflated by whatever the other domains were
-    doing concurrently. Only use [time] for work that runs while no other
-    domain is busy (e.g. merge-time work on the main domain); use
-    {!time_wall} for anything recorded from (or compared across) worker
-    domains. By convention metric names state which clock they carry:
-    [*_cpu_s] for [time], [*_wall_s] / [*_ns] for wall-clock, and
-    [*_virtual_s] for the campaign's virtual clock. *)
-
 val time_wall : t -> string -> (unit -> 'a) -> 'a
-(** [time] on the monotonic wall clock ([Unix.gettimeofday]) instead of
-    process CPU time — the correct timer for durations measured on worker
-    domains, where [Sys.time] counts every domain's CPU at once. *)
+(** Run the thunk and [observe] its wall-clock time ([Unix.gettimeofday])
+    in seconds under the given name, whether it returns or raises.
+
+    Wall time, not process CPU time ([Sys.time]): under a multi-domain
+    run every domain reads the same accumulating CPU clock, so a timer on
+    it is inflated by whatever the other domains were doing concurrently.
+    By convention metric names state which clock they carry: [*_wall_s] /
+    [*_ns] for wall-clock and [*_virtual_s] for the campaign's virtual
+    clock. *)
 
 type summary = {
   count : int;

@@ -12,14 +12,11 @@ type t = {
   lock : Mutex.t;
   work : Condition.t;  (* signalled on submit and on shutdown *)
   idle : Condition.t;  (* signalled when the pool reaches Down *)
-  queues : task Queue.t array;  (* one per worker, all guarded by [lock] *)
+  queue : task Queue.t;  (* guarded by [lock] *)
   tracers : Tracer.t array;  (* one per worker; written only by its owner *)
-  mutable rr : int;  (* next queue for round-robin submission *)
   mutable state : lifecycle;
   mutable domains : unit Domain.t array;
   metrics : Metrics.t;
-  faults : Faults.t;
-  mutable task_seq : int;  (* submission ordinal, the "pool.task" fault index *)
 }
 
 type 'a handle = {
@@ -33,40 +30,20 @@ let now_ns () = Unix.gettimeofday () *. 1e9
 (* All [t.metrics] updates happen with [t.lock] held: the registry is not
    thread-safe. *)
 
-let take t i =
-  if not (Queue.is_empty t.queues.(i)) then Some (Queue.pop t.queues.(i))
+let rec next_task t =
+  if not (Queue.is_empty t.queue) then Some (Queue.pop t.queue)
+  else if t.state <> Live then None
   else begin
-    let n = Array.length t.queues in
-    let found = ref None in
-    let k = ref 1 in
-    while !found = None && !k < n do
-      let j = (i + !k) mod n in
-      if not (Queue.is_empty t.queues.(j)) then begin
-        Metrics.incr t.metrics "pool.steals";
-        Tracer.instant t.tracers.(i) "pool.steal";
-        found := Some (Queue.pop t.queues.(j))
-      end;
-      incr k
-    done;
-    !found
+    let parked = now_ns () in
+    Condition.wait t.work t.lock;
+    Metrics.observe t.metrics "pool.idle_ns" (now_ns () -. parked);
+    next_task t
   end
-
-let rec next_task t i =
-  match take t i with
-  | Some _ as task -> task
-  | None ->
-    if t.state <> Live then None
-    else begin
-      let parked = now_ns () in
-      Condition.wait t.work t.lock;
-      Metrics.observe t.metrics "pool.idle_ns" (now_ns () -. parked);
-      next_task t i
-    end
 
 let worker t i () =
   let rec loop () =
     Mutex.lock t.lock;
-    match next_task t i with
+    match next_task t with
     | None -> Mutex.unlock t.lock
     | Some task ->
       Metrics.incr t.metrics "pool.tasks";
@@ -76,7 +53,7 @@ let worker t i () =
   in
   loop ()
 
-let create ?metrics ?tracer_for ?(faults = Faults.disabled) ~workers () =
+let create ?metrics ?tracer_for ~workers () =
   if workers < 1 then invalid_arg "Pool.create: workers must be >= 1";
   let tracers =
     (* Handed out before the domains spawn, on the caller's domain; each
@@ -90,20 +67,17 @@ let create ?metrics ?tracer_for ?(faults = Faults.disabled) ~workers () =
       lock = Mutex.create ();
       work = Condition.create ();
       idle = Condition.create ();
-      queues = Array.init workers (fun _ -> Queue.create ());
+      queue = Queue.create ();
       tracers;
-      rr = 0;
       state = Live;
       domains = [||];
       metrics = (match metrics with Some m -> m | None -> Metrics.create ());
-      faults;
-      task_seq = 0;
     }
   in
   t.domains <- Array.init workers (fun i -> Domain.spawn (worker t i));
   t
 
-let workers t = Array.length t.queues
+let workers t = Array.length t.tracers
 
 let metrics t = t.metrics
 
@@ -114,19 +88,6 @@ let submit t f =
     Mutex.unlock t.lock;
     invalid_arg "Pool.submit: pool is shut down"
   end;
-  (* The fault decision is taken here, on the submitting domain, keyed by
-     the submission ordinal — so it is as deterministic as the submission
-     order itself, regardless of which worker later runs the task. *)
-  let f =
-    if Faults.enabled t.faults then begin
-      let k = t.task_seq in
-      t.task_seq <- t.task_seq + 1;
-      if Faults.should_fail t.faults "pool.task" ~k then
-        fun () -> raise (Faults.Injected "pool.task")
-      else f
-    end
-    else f
-  in
   let task () =
     let r =
       try Ok (f ())
@@ -139,9 +100,8 @@ let submit t f =
     Condition.broadcast h.h_done;
     Mutex.unlock h.h_lock
   in
-  Queue.push task t.queues.(t.rr);
-  t.rr <- (t.rr + 1) mod Array.length t.queues;
-  Condition.broadcast t.work;
+  Queue.push task t.queue;
+  Condition.signal t.work;
   Mutex.unlock t.lock;
   h
 
@@ -187,6 +147,6 @@ let shutdown t =
     Mutex.unlock t.lock
   | Down -> Mutex.unlock t.lock
 
-let with_pool ?metrics ?tracer_for ?faults ~workers f =
-  let t = create ?metrics ?tracer_for ?faults ~workers () in
+let with_pool ?metrics ?tracer_for ~workers f =
+  let t = create ?metrics ?tracer_for ~workers () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

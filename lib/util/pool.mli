@@ -1,39 +1,32 @@
-(** Fixed-size domain worker pool with per-worker task queues.
+(** Fixed-size domain worker pool with one FIFO task queue.
 
     The parallel campaign executor runs one epoch per shard between
     snapshot barriers; this pool owns the worker domains so they are
-    spawned once per campaign, not once per epoch. Tasks are submitted
-    round-robin to per-worker queues; an idle worker steals from a
-    sibling's queue before sleeping, so one slow shard cannot strand
-    queued work behind it. A raising task resolves its handle to
-    [Error] — the worker survives and keeps draining the queues.
+    spawned once per campaign, not once per epoch. Tasks join one queue
+    in submission order and the next free worker takes the oldest, so
+    one slow task never strands queued work behind it. A raising task
+    resolves its handle to [Error] — the worker survives and keeps
+    draining the queue.
 
     Observability lands in a {!Metrics} registry (updated only under the
-    pool lock, since registries are not thread-safe): [pool.tasks] and
-    [pool.steals] counters, [pool.idle_ns] (time a worker spent parked
-    waiting for work) and [pool.barrier_wait_ns] (time the submitter
-    spent blocked in {!run_all}) histograms. With [tracer_for], each
-    worker additionally records a [pool.task] span per executed task and
-    a [pool.steal] instant per steal into its own per-worker tracer. *)
+    pool lock, since registries are not thread-safe): a [pool.tasks]
+    counter, [pool.idle_ns] (time a worker spent parked waiting for
+    work) and [pool.barrier_wait_ns] (time the submitter spent blocked
+    in {!run_all}) histograms. With [tracer_for], each worker
+    additionally records a [pool.task] span per executed task into its
+    own per-worker tracer. *)
 
 type t
 
 val create :
   ?metrics:Metrics.t ->
   ?tracer_for:(int -> Sp_obs.Tracer.t) ->
-  ?faults:Faults.t ->
   workers:int ->
   unit ->
   t
 (** Spawn [workers] domains (>= 1). [tracer_for i] is called once per
     worker, on the calling domain, before any worker starts; worker [i]
-    then owns (and is the only writer of) that tracer.
-
-    With an enabled [faults] plan (default {!Faults.disabled}), each
-    {!submit} consults site ["pool.task"] at the pool-wide submission
-    ordinal — on the submitting domain, so the decision is deterministic
-    per submission order — and an injected task resolves its handle to
-    [Error (Faults.Injected "pool.task")] without running the payload. *)
+    then owns (and is the only writer of) that tracer. *)
 
 val workers : t -> int
 
@@ -69,7 +62,6 @@ val shutdown : t -> unit
 val with_pool :
   ?metrics:Metrics.t ->
   ?tracer_for:(int -> Sp_obs.Tracer.t) ->
-  ?faults:Faults.t ->
   workers:int ->
   (t -> 'a) ->
   'a

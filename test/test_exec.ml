@@ -150,7 +150,9 @@ let test_scratch_wrong_kernel () =
        "Exec.execute_raw: scratch was created for a different kernel")
     (fun () -> Kernel.execute_into kernel scratch prog)
 
-(* Per-call coverage is one execution's traces sliced per call. *)
+(* Per-call coverage is one execution's traces, one per executed call in
+   call order; together they cover exactly the result's covered set. The
+   query graph is built from these traces. *)
 let test_per_call_coverage () =
   let kernel, _, db = List.hd kernels in
   let num_blocks = Kernel.num_blocks kernel in
@@ -158,38 +160,22 @@ let test_per_call_coverage () =
   for _ = 1 to 30 do
     let prog = Gen.program rng db () in
     let r = Kernel.execute kernel prog in
-    let per_call = Kernel.per_call_coverage kernel prog in
-    Alcotest.(check int) "one bitset per executed call"
-      (List.length r.Kernel.traces)
-      (Array.length per_call);
+    let executed =
+      match r.Kernel.crash with
+      | None -> Array.length prog
+      | Some c -> c.Kernel.crash_call + 1
+    in
+    Alcotest.(check int) "one trace per executed call" executed
+      (List.length r.Kernel.traces);
     let union = Bitset.create num_blocks in
     List.iteri
       (fun i (tr : Kernel.call_trace) ->
-        let expect =
-          Sp_coverage.Trace.block_set ~num_blocks tr.Kernel.visited
-        in
-        Alcotest.(check bool) "call bitset matches its trace" true
-          (Bitset.equal expect per_call.(i));
-        ignore (Bitset.union_into ~dst:union per_call.(i)))
+        Alcotest.(check int) "traces in call order" i tr.Kernel.call_idx;
+        List.iter (Bitset.add union) tr.Kernel.visited)
       r.Kernel.traces;
     Alcotest.(check bool) "union of calls is the covered set" true
       (Bitset.equal union r.Kernel.covered)
   done
-
-let test_block_coverage_of_call () =
-  let kernel, _, db = List.hd kernels in
-  let prog = Gen.program (Rng.create 8) db () in
-  let per_call = Kernel.per_call_coverage kernel prog in
-  Array.iteri
-    (fun i expect ->
-      Alcotest.(check bool) "matches per_call_coverage" true
-        (Bitset.equal expect (Kernel.block_coverage_of_call kernel prog i)))
-    per_call;
-  Alcotest.(check bool) "out-of-range call is empty" true
-    (Bitset.is_empty
-       (Kernel.block_coverage_of_call kernel prog (Array.length per_call)));
-  Alcotest.(check bool) "negative call is empty" true
-    (Bitset.is_empty (Kernel.block_coverage_of_call kernel prog (-1)))
 
 (* Noise must consume the same RNG stream in both interpreters — pin that
    by checking the *results* differ from the quiet run but agree with each
@@ -223,9 +209,6 @@ let () =
             test_scratch_wrong_kernel;
         ] );
       ( "coverage-queries",
-        [
-          Alcotest.test_case "per_call_coverage" `Quick test_per_call_coverage;
-          Alcotest.test_case "block_coverage_of_call" `Quick
-            test_block_coverage_of_call;
-        ] );
+        [ Alcotest.test_case "per_call_coverage" `Quick test_per_call_coverage ]
+      );
     ]

@@ -1,11 +1,11 @@
 (* Tests for the fault-domain layer: the deterministic Sp_util.Faults
-   plan, its injection points in the pool and the campaign
-   executor, the scheduler's quarantine/backoff/retry lifecycle, the
-   corrupt-snapshot fallback, the breaker state machine (qcheck model)
-   and the funnel's graceful inference degradation. The governing
-   property throughout: every injected-failure scenario replays
-   byte-identically given the same (seed, plan), and healthy tenants are
-   byte-for-byte unaffected by a co-scheduled failing one. *)
+   plan, its injection points in the campaign executor, the pool's
+   failure reporting, the scheduler's quarantine/backoff/retry
+   lifecycle, the corrupt-snapshot fallback, the breaker state machine
+   (qcheck model) and the funnel's graceful inference degradation. The
+   governing property throughout: every injected-failure scenario
+   replays byte-identically given the same (seed, plan), and healthy
+   tenants are byte-for-byte unaffected by a co-scheduled failing one. *)
 
 module Rng = Sp_util.Rng
 module Metrics = Sp_util.Metrics
@@ -113,24 +113,8 @@ let test_faults_of_json () =
   bad {|{"schedule": {"y": [1.5]}}|}
 
 (* ------------------------------------------------------------------ *)
-(* Pool injection                                                       *)
+(* Pool failures                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let test_pool_task_injection () =
-  (* pool.task k = pool-wide submission ordinal, starting at 0. *)
-  let faults = Faults.create ~schedule:[ ("pool.task", [ 1 ]) ] ~seed:0 () in
-  Pool.with_pool ~faults ~workers:1 (fun pool ->
-      let hs = List.init 3 (fun i -> Pool.submit pool (fun () -> i)) in
-      match List.map Pool.await hs with
-      | [ Ok 0; Error (Faults.Injected "pool.task"); Ok 2 ] -> ()
-      | rs ->
-        Alcotest.failf "unexpected results: %s"
-          (String.concat ", "
-             (List.map
-                (function
-                  | Ok v -> string_of_int v
-                  | Error e -> Printexc.to_string e)
-                rs)))
 
 exception Probe of string
 
@@ -376,17 +360,7 @@ let test_kill_resume_with_faults () =
      scheduler resumes every tenant from its newest valid snapshot under
      the same plan. The final reports must match the solo oracles — the
      quarantine machinery composes with kill + resume. *)
-  let root = "faults-resume" in
-  if not (Sys.file_exists root) then Sys.mkdir root 0o755;
-  let dirs = [ "alpha"; "beta"; "gamma" ] in
-  List.iter
-    (fun n ->
-      let d = Filename.concat root n in
-      if Sys.file_exists d then
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat d f) with Sys_error _ -> ())
-          (Sys.readdir d))
-    dirs;
+  let root = Test_support.Test_dir.fresh "faults-resume" in
   let plan () =
     Faults.create ~schedule:[ ("beta/shard.epoch", [ 1 ]) ] ~seed:1 ()
   in
@@ -612,7 +586,8 @@ let test_funnel_degradation_cycle () =
     (Funnel.flush_tenant funnel ~tenant:0 ~now:40.0);
   check Alcotest.int "stalled requests reclaimed" 3 (Inference.cancelled service);
   let s = lane_stats_exn funnel ~now:40.0 in
-  check Alcotest.string "breaker open" "open" s.Funnel.ls_state;
+  check Alcotest.string "breaker open" "open"
+    (Breaker.state_name s.Funnel.ls_state);
   check Alcotest.int "one trip" 1 s.Funnel.ls_trips;
   check Alcotest.int "three errors" 3 s.Funnel.ls_errors;
   check Alcotest.int "all three queued for retry" 3 s.Funnel.ls_retries_pending;
@@ -645,7 +620,7 @@ let test_funnel_degradation_cycle () =
     (Funnel.flush_tenant funnel ~tenant:0 ~now:1300.0);
   let s = lane_stats_exn funnel ~now:1300.0 in
   check Alcotest.string "breaker closed by the probe" "closed"
-    s.Funnel.ls_state;
+    (Breaker.state_name s.Funnel.ls_state);
   check Alcotest.int "two retries still pending" 2 s.Funnel.ls_retries_pending;
   Alcotest.(check bool) "lane healthy again" false
     (Funnel.lane_degraded funnel ~tenant:0);
@@ -699,9 +674,7 @@ let () =
           Alcotest.test_case "of_json round-trip and rejects" `Quick
             test_faults_of_json ] );
       ( "pool",
-        [ Alcotest.test_case "pool.task injection" `Quick
-            test_pool_task_injection;
-          Alcotest.test_case "await_full carries the backtrace" `Quick
+        [ Alcotest.test_case "await_full carries the backtrace" `Quick
             test_pool_await_full_backtrace ] );
       ( "snapshots",
         [ Alcotest.test_case "latest_valid skips a torn snapshot" `Quick

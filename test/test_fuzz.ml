@@ -40,7 +40,7 @@ let test_vm_charges_time () =
   let vm = Vm.create ~seed:1 kernel in
   let clock = Clock.create () in
   let prog = Gen.program (Rng.create 1) db () in
-  let _ = Vm.run vm clock prog in
+  Vm.run_raw vm clock prog;
   Alcotest.(check bool) "time charged" true (Clock.now clock > 0.0);
   Alcotest.(check int) "execution counted" 1 (Vm.executions vm)
 
@@ -50,8 +50,9 @@ let test_vm_cost_scales_with_length () =
   let cost p =
     let vm = Vm.create ~seed:1 kernel in
     let clock = Clock.create () in
-    let r = Vm.run vm clock p in
-    if r.Kernel.crash <> None then None else Some (Clock.now clock)
+    Vm.run_raw vm clock p;
+    if Kernel.scratch_crashed (Vm.scratch vm) then None
+    else Some (Clock.now clock)
   in
   match (cost prog_short, cost prog_long) with
   | Some a, Some b -> Alcotest.(check bool) "longer costs more" true (b > a)

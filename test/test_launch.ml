@@ -141,7 +141,10 @@ let test_check_spec () =
     (Launch.check_workers 128);
   check Alcotest.(result unit string) "no workers"
     (Error "workers: must be between 1 and 127 (got 0)")
-    (Launch.check_workers 0)
+    (Launch.check_workers 0);
+  check Alcotest.(result unit string) "negative workers"
+    (Error "workers: must be between 1 and 127 (got -2)")
+    (Launch.check_workers (-2))
 
 (* Truncated or byte-flipped example rosters decode to Ok or a typed
    Error — never an exception. *)

@@ -109,9 +109,7 @@ let test_scheduled_equals_solo () =
   check (Alcotest.list Alcotest.string) "schedule reproducible"
     r.Scheduler.sr_schedule r'.Scheduler.sr_schedule
 
-let with_dir name f =
-  if not (Sys.file_exists name) then Sys.mkdir name 0o755;
-  f name
+let with_dir name f = f (Test_support.Test_dir.fresh name)
 
 let test_kill_and_resume_mid_schedule () =
   let root = "sched-resume" in

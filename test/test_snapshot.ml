@@ -132,12 +132,7 @@ let test_codec_rejects_malformed () =
 (* Atomic writes                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let with_dir name f =
-  if not (Sys.file_exists name) then Sys.mkdir name 0o755;
-  Array.iter
-    (fun file -> Sys.remove (Filename.concat name file))
-    (Sys.readdir name);
-  f name
+let with_dir name f = f (Test_support.Test_dir.fresh name)
 
 let no_tmp_leftovers dir =
   Array.for_all

@@ -248,62 +248,9 @@ let test_exact_targets_mode () =
         (List.for_all (fun b -> List.mem b ex.Dataset.new_blocks) ex.Dataset.targets))
     s.Dataset.train
 
-let prop_stratified_assignment =
-  QCheck.Test.make ~count:300
-    ~name:"stratified assignment keeps 80/10/10 inside every stratum"
-    QCheck.(pair (int_bound 100000) (int_bound 60))
-    (fun (seed, n) ->
-      let rng = Rng.create (seed + 1) in
-      (* Coarse rates so ties across bases are common, like real data. *)
-      let rates = Array.init n (fun _ -> float_of_int (Rng.int rng 6) /. 5.0) in
-      let assign = Dataset.stratified_assignment rates in
-      Array.length assign = n
-      &&
-      (* Recover the terciles independently and count tags per stratum:
-         each must carry exactly the floor-formula proportions the
-         unstratified split applies to the whole corpus. *)
-      let sorted = Array.copy rates in
-      Array.sort compare sorted;
-      let q1 = if n = 0 then 0.0 else sorted.(n / 3)
-      and q2 = if n = 0 then 0.0 else sorted.(2 * n / 3) in
-      let stratum r = if r < q1 then 0 else if r < q2 then 1 else 2 in
-      List.for_all
-        (fun s ->
-          let tags = ref [] in
-          Array.iteri
-            (fun i r -> if stratum r = s then tags := assign.(i) :: !tags)
-            rates;
-          let ns = List.length !tags in
-          let count t = List.length (List.filter (( = ) t) !tags) in
-          count `Train = ns * 8 / 10
-          && count `Valid = ns / 10
-          && count `Eval = ns - (ns * 8 / 10) - (ns / 10))
-        [ 0; 1; 2 ])
-
-let test_stratified_split_no_leak () =
-  let cfg = { tiny_dataset_config with Dataset.stratify = true } in
-  let s = Dataset.collect ~config:cfg kernel ~bases in
-  let key (ex : Dataset.example) = Prog.hash ex.Dataset.base in
-  let of_arr a = List.sort_uniq compare (List.map key (Array.to_list a)) in
-  let tr = of_arr s.Dataset.train
-  and va = of_arr s.Dataset.valid
-  and ev = of_arr s.Dataset.eval in
-  let inter a b = List.filter (fun x -> List.mem x b) a in
-  Alcotest.(check (list int)) "train/valid disjoint" [] (inter tr va);
-  Alcotest.(check (list int)) "train/eval disjoint" [] (inter tr ev);
-  Alcotest.(check (list int)) "valid/eval disjoint" [] (inter va ev);
-  Alcotest.(check bool) "train still dominant" true
-    (Array.length s.Dataset.train > Array.length s.Dataset.valid)
-
 let test_unstratified_split_unchanged () =
-  (* stratify=false must run the historical code path byte for byte: a
-     second collect with the explicit default flag reproduces the
-     module-level [split] exactly. *)
-  let s =
-    Dataset.collect
-      ~config:{ tiny_dataset_config with Dataset.stratify = false }
-      kernel ~bases
-  in
+  (* A second collect reproduces the module-level [split] exactly. *)
+  let s = Dataset.collect ~config:tiny_dataset_config kernel ~bases in
   let sig_of a =
     Array.to_list a
     |> List.map (fun (ex : Dataset.example) ->
@@ -376,6 +323,34 @@ let test_striped_training_deterministic () =
             Alcotest.failf "striped/sequential diverged: %g vs %g" v b.(i))
         a)
     p1 p_seq
+
+(* The one-stripe trainer reproduces the sequential trainer it replaced:
+   this digest of the parameters, the calibrated threshold and the loss
+   history is what the sequential loop of commit 2952697 produced on the
+   same model, data and config. *)
+let test_one_stripe_digest () =
+  let m =
+    Pmm.create ~encoder_dim:(Encoder.dim encoder)
+      ~num_syscalls:(Sp_syzlang.Spec.count db) ()
+  in
+  let cfg =
+    { Snowplow.Trainer.default_config with epochs = 2; log_every = 7; jobs = 1 }
+  in
+  let history =
+    Snowplow.Trainer.train ~config:cfg m ~block_embs
+      ~train:split.Dataset.train ~valid:split.Dataset.valid
+  in
+  let b = Buffer.create 65536 in
+  Buffer.add_string b (Sp_ml.Serialize.params_to_string (Pmm.params m));
+  Printf.bprintf b "threshold %h\n" (Pmm.threshold m);
+  List.iter
+    (fun (p : Snowplow.Trainer.progress) ->
+      Printf.bprintf b "%d %h\n" p.Snowplow.Trainer.step p.Snowplow.Trainer.loss)
+    history;
+  Alcotest.(check bool) "history recorded" true (List.length history > 2);
+  Alcotest.(check string) "parameters, threshold and history"
+    "05bd5798600fefa23aeb1f47a7200c56"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* ------------------------------------------------------------------ *)
 (* Inference service                                                    *)
@@ -801,7 +776,6 @@ let () =
             test_embed_kernel_bit_identical;
           Alcotest.test_case "masked LM learns" `Slow test_encoder_learns;
         ] );
-      qsuite "dataset-props" [ prop_stratified_assignment ];
       ( "dataset",
         [
           Alcotest.test_case "nonempty" `Quick test_dataset_nonempty;
@@ -809,8 +783,6 @@ let () =
           Alcotest.test_case "targets from frontier" `Quick test_dataset_targets_are_frontier;
           Alcotest.test_case "split no leak" `Quick test_dataset_split_no_leak;
           Alcotest.test_case "exact targets mode" `Quick test_exact_targets_mode;
-          Alcotest.test_case "stratified split no leak" `Quick
-            test_stratified_split_no_leak;
           Alcotest.test_case "unstratified split unchanged" `Quick
             test_unstratified_split_unchanged;
         ] );
@@ -819,6 +791,8 @@ let () =
           Alcotest.test_case "training beats random" `Slow test_training_beats_random;
           Alcotest.test_case "striped training deterministic" `Slow
             test_striped_training_deterministic;
+          Alcotest.test_case "one stripe matches the sequential digest" `Slow
+            test_one_stripe_digest;
         ] );
       ( "inference",
         [

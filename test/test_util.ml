@@ -703,7 +703,7 @@ let test_metrics_reservoir_bounded () =
 
 let test_metrics_time_and_render () =
   let m = Metrics.create () in
-  let v = Metrics.time m "work" (fun () -> 42) in
+  let v = Metrics.time_wall m "work" (fun () -> 42) in
   Alcotest.(check int) "thunk result returned" 42 v;
   (match Metrics.summary m "work" with
   | Some s -> Alcotest.(check int) "timed once" 1 s.Metrics.count
